@@ -260,12 +260,11 @@ Message MakeWireMessage() {
   m.version = 7;
   m.seq = 99;
   m.flag = true;
-  m.origin = 1;
   m.plan.node = 3;
   for (int i = 0; i < 4; ++i) {
     m.plan.ops.push_back(OpAdd("bal/entity" + std::to_string(i) + "@3", i));
   }
-  m.spawned = {43, 44};
+  m.participants = {3, 4};
   for (int i = 0; i < 4; ++i) {
     Value v;
     v.num = 1000 + i;
@@ -377,8 +376,8 @@ HotpathResult BenchQueueDrain(size_t producers, int64_t batches) {
   return r;
 }
 
-// Same shape, consumer draining via PopAll: what the ThreadNet worker and
-// TcpNet dispatcher now do. One wakeup amortizes over the queued burst.
+// Same shape, consumer draining via PopAll: what every ThreadNet endpoint
+// worker (TcpNet's too) does. One wakeup amortizes over the queued burst.
 HotpathResult BenchQueueDrainPopAll(size_t producers, int64_t batches) {
   BlockingQueue<int64_t> queue;
   const int64_t total = batches * kBatch;

@@ -1,6 +1,5 @@
 #include "bench_util.h"
 
-#include <chrono>
 #include <cstdio>
 #include <sstream>
 
@@ -12,7 +11,6 @@ namespace threev {
 namespace bench {
 
 RunOutcome RunExperiment(const RunConfig& config) {
-  auto wall_start = std::chrono::steady_clock::now();
   Metrics metrics;
   HistoryRecorder history;
   SimNet net(SimNetOptions{.seed = config.seed,
@@ -69,7 +67,6 @@ RunOutcome RunExperiment(const RunConfig& config) {
   out.name = system->name();
   out.committed = stats.committed;
   out.aborted = stats.aborted;
-  out.virtual_elapsed = stats.virtual_elapsed;
   out.throughput = stats.throughput_per_sec();
   out.upd_p50 = metrics.update_latency.Percentile(50);
   out.upd_p99 = metrics.update_latency.Percentile(99);
@@ -79,7 +76,6 @@ RunOutcome RunExperiment(const RunConfig& config) {
   out.stale_p99 = metrics.staleness.Percentile(99);
   out.adv_p50 = metrics.advancement_latency.Percentile(50);
   out.messages = metrics.messages_sent.load();
-  out.bytes = metrics.bytes_sent.load();
   out.dual_writes = metrics.dual_version_writes.load();
   out.copies = metrics.version_copies.load();
   out.bytes_copied = metrics.bytes_copied.load();
@@ -96,9 +92,6 @@ RunOutcome RunExperiment(const RunConfig& config) {
     CheckResult check = CheckHistory(history.Transactions());
     out.anomalies = check.total_anomalies();
   }
-  out.wall_elapsed_micros = std::chrono::duration_cast<std::chrono::microseconds>(
-                                std::chrono::steady_clock::now() - wall_start)
-                                .count();
   return out;
 }
 
@@ -167,28 +160,6 @@ bool WriteHotpathJson(const std::string& path, bool quick,
   bool ok = std::fputs(os.str().c_str(), f) >= 0;
   ok = std::fclose(f) == 0 && ok;
   return ok;
-}
-
-std::string RunOutcomeJson(const RunConfig& config, const RunOutcome& out) {
-  std::ostringstream os;
-  os << "{\"name\": \"" << JsonEscape(out.name) << "\""
-     << ", \"nodes\": " << config.num_nodes
-     << ", \"seed\": " << config.seed
-     << ", \"closed_loop\": " << (config.closed_loop ? "true" : "false")
-     << ", \"total_txns\": " << config.total_txns
-     << ", \"committed\": " << out.committed
-     << ", \"aborted\": " << out.aborted
-     << ", \"throughput_txn_s\": " << out.throughput
-     << ", \"virtual_elapsed_us\": " << out.virtual_elapsed
-     << ", \"wall_elapsed_us\": " << out.wall_elapsed_micros
-     << ", \"upd_p50_us\": " << out.upd_p50
-     << ", \"upd_p99_us\": " << out.upd_p99
-     << ", \"read_p50_us\": " << out.read_p50
-     << ", \"read_p99_us\": " << out.read_p99
-     << ", \"messages\": " << out.messages
-     << ", \"bytes\": " << out.bytes
-     << ", \"anomalies\": " << out.anomalies << "}";
-  return os.str();
 }
 
 }  // namespace bench

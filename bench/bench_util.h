@@ -46,18 +46,12 @@ struct RunOutcome {
   std::string name;
   size_t committed = 0;
   size_t aborted = 0;
-  Micros virtual_elapsed = 0;
-  // Wall-clock cost of driving the run (host microseconds, not virtual
-  // time): the hot-path engineering trajectory shows up here, while
-  // `virtual_elapsed`/`throughput` stay fixed by the simulated network.
-  int64_t wall_elapsed_micros = 0;
   double throughput = 0;  // committed / virtual second
   int64_t upd_p50 = 0, upd_p99 = 0;
   int64_t read_p50 = 0, read_p99 = 0;
   int64_t stale_p50 = 0, stale_p99 = 0;
   int64_t adv_p50 = 0;  // advancement completion latency
   int64_t messages = 0;
-  int64_t bytes = 0;
   int64_t dual_writes = 0;
   int64_t copies = 0;
   int64_t bytes_copied = 0;
@@ -111,10 +105,6 @@ struct HotpathResult {
 // `path` ("-" = stdout). Returns false on I/O failure.
 bool WriteHotpathJson(const std::string& path, bool quick,
                       const std::vector<HotpathResult>& results);
-
-// Serializes one protocol-level experiment run (config + outcome) as a
-// single-line JSON object, for appending to per-run logs.
-std::string RunOutcomeJson(const RunConfig& config, const RunOutcome& out);
 
 }  // namespace bench
 }  // namespace threev

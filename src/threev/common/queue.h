@@ -10,9 +10,9 @@
 
 namespace threev {
 
-// Unbounded MPMC blocking queue used as a node mailbox in ThreadNet and as
-// the inbound frame queue in TcpNet. Close() unblocks all waiters; after
-// close, Pop drains remaining items and then returns nullopt.
+// Unbounded MPMC blocking queue used as the endpoint mailbox in ThreadNet
+// (and so in TcpNet). Close() unblocks all waiters; after close, Pop drains
+// remaining items and then returns nullopt.
 template <typename T>
 class BlockingQueue {
  public:
@@ -52,23 +52,6 @@ class BlockingQueue {
     cv_.wait(lock, [&]() REQUIRES(mu_) { return !items_.empty() || closed_; });
     batch.swap(items_);
     return batch;
-  }
-
-  // Non-blocking variant of PopAll(); empty result means nothing queued.
-  std::deque<T> TryPopAll() EXCLUDES(mu_) {
-    std::deque<T> batch;
-    MutexLock lock(mu_);
-    batch.swap(items_);
-    return batch;
-  }
-
-  // Non-blocking variant.
-  std::optional<T> TryPop() EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
   }
 
   void Close() EXCLUDES(mu_) {

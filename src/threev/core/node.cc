@@ -28,9 +28,10 @@ Node::Node(const NodeOptions& options, Network* network, Metrics* metrics,
       vu_(1),
       vr_(0),
       rng_(options.seed + options.id * 0x9e3779b9ull) {
-  // Version 0 (the initial read version) was never an update version; it is
-  // "frozen" from the beginning of time for staleness accounting.
-  frozen_time_[0] = 0;
+  // Version 0 (the initial read version) was never an update version; for
+  // staleness accounting it counts as frozen when this node starts, on the
+  // transport's clock.
+  frozen_time_[0] = network_->Now();
   if (!options_.wal_dir.empty()) RecoverFromLog();
 }
 
@@ -50,7 +51,9 @@ void Node::RecoverFromLog() {
 
   vu_ = recovered->vu;
   vr_ = recovered->vr;
-  if (vu_ > 1) frozen_time_[PrevVersion(vu_)] = 0;  // conservative staleness origin
+  // The recovered read version's freeze time is not logged: after a
+  // restart, staleness counts from the restart.
+  if (vu_ > 1) frozen_time_[PrevVersion(vu_)] = network_->Now();
   next_txn_seq_ = recovered->seq_floor;
   next_subtxn_seq_ = recovered->seq_floor;
   seq_reserved_until_ = recovered->seq_floor;
@@ -441,7 +444,7 @@ void Node::OnSubtxnRequest(const Message& msg) {
   ctx->version = msg.version;
   ctx->is_root = false;
   ctx->read_only = msg.flag;
-  ctx->compensation = msg.seq == 1;
+  ctx->compensation = msg.compensation;
   ctx->klass = static_cast<TxnClass>(msg.klass);
   ctx->plan = msg.plan;
   if (tracer_ != nullptr && tracer_->enabled()) {
@@ -696,10 +699,10 @@ void Node::ExecuteBody(ExecPtr ctx) {
     LogRecord(rec);
   }
 
-  std::vector<SubtxnId> spawned;
-  spawned.reserve(ctx->plan.children.size());
+  std::vector<SubtxnId> child_ids;
+  child_ids.reserve(ctx->plan.children.size());
   for (const auto& child : ctx->plan.children) {
-    spawned.push_back(SpawnChild(ctx, child, ctx->compensation));
+    child_ids.push_back(SpawnChild(ctx, child, ctx->compensation));
   }
 
   // Failure injection (root update subtransactions only): abort after
@@ -733,7 +736,7 @@ void Node::ExecuteBody(ExecPtr ctx) {
     for (const auto& child : ctx->plan.children) {
       Result<SubtxnPlan> comp = MakeCompensationPlan(child);
       if (comp.ok()) {
-        spawned.push_back(SpawnChild(ctx, *comp, /*compensation=*/true));
+        child_ids.push_back(SpawnChild(ctx, *comp, /*compensation=*/true));
         if (metrics_ != nullptr) {
           metrics_->compensations_sent.fetch_add(1,
                                                  std::memory_order_relaxed);
@@ -741,11 +744,11 @@ void Node::ExecuteBody(ExecPtr ctx) {
       }
     }
     FinishExecution(ctx, Status::Aborted("injected abort"),
-                    std::move(spawned), {});
+                    std::move(child_ids), {});
     return;
   }
 
-  FinishExecution(ctx, Status::Ok(), std::move(spawned), std::move(reads));
+  FinishExecution(ctx, Status::Ok(), std::move(child_ids), std::move(reads));
 }
 
 void Node::ExecuteBodyNC(ExecPtr ctx) {
@@ -797,10 +800,10 @@ void Node::ExecuteBodyNC(ExecPtr ctx) {
     LogRecord(rec);
   }
 
-  std::vector<SubtxnId> spawned;
+  std::vector<SubtxnId> child_ids;
   if (failure.ok()) {
     for (const auto& child : ctx->plan.children) {
-      spawned.push_back(SpawnChild(ctx, child, /*compensation=*/false));
+      child_ids.push_back(SpawnChild(ctx, child, /*compensation=*/false));
     }
   }
 
@@ -812,7 +815,7 @@ void Node::ExecuteBodyNC(ExecPtr ctx) {
     if (!failure.ok()) st.failed = true;
   }
 
-  FinishExecution(ctx, failure, std::move(spawned), std::move(reads));
+  FinishExecution(ctx, failure, std::move(child_ids), std::move(reads));
 }
 
 SubtxnId Node::SpawnChild(const ExecPtr& ctx, const SubtxnPlan& child,
@@ -829,7 +832,7 @@ SubtxnId Node::SpawnChild(const ExecPtr& ctx, const SubtxnPlan& child,
   m.parent_subtxn = ctx->subtxn;
   m.version = ctx->version;
   m.flag = ctx->read_only;
-  m.seq = compensation ? 1 : 0;
+  m.compensation = compensation;
   m.klass = static_cast<uint8_t>(ctx->klass);
   m.plan = child;
   // Child requests carry this subtransaction's span so the remote
@@ -840,7 +843,7 @@ SubtxnId Node::SpawnChild(const ExecPtr& ctx, const SubtxnPlan& child,
 }
 
 void Node::FinishExecution(const ExecPtr& ctx, Status status,
-                           std::vector<SubtxnId> spawned,
+                           std::vector<SubtxnId> child_ids,
                            std::map<std::string, Value> reads) {
   if (metrics_ != nullptr) {
     metrics_->subtxns_executed.fetch_add(1, std::memory_order_relaxed);
@@ -854,7 +857,7 @@ void Node::FinishExecution(const ExecPtr& ctx, Status status,
   rec.is_root = ctx->is_root;
   rec.read_only = ctx->read_only;
   rec.klass = ctx->klass;
-  rec.outstanding = spawned.size();
+  rec.outstanding = child_ids.size();
   rec.reads = std::move(reads);
   rec.status = std::move(status);
   rec.participants.insert(options_.id);
@@ -892,9 +895,7 @@ void Node::OnCompletionNotice(const Message& msg) {
     for (const auto& [key, value] : msg.reads) {
       rec.reads.emplace(key, value);
     }
-    for (SubtxnId participant : msg.spawned) {
-      rec.participants.insert(static_cast<NodeId>(participant));
-    }
+    rec.participants.insert(msg.participants.begin(), msg.participants.end());
     if (msg.status_code != StatusCode::kOk && rec.status.ok()) {
       rec.status = Status(msg.status_code, msg.status_msg);
     }
@@ -941,9 +942,7 @@ void Node::CompleteSubtxn(PendingSubtxn rec) {
   m.version = rec.version;
   m.trace = rec.trace;
   for (const auto& [key, value] : rec.reads) m.reads.emplace_back(key, value);
-  for (NodeId p : rec.participants) {
-    m.spawned.push_back(static_cast<SubtxnId>(p));
-  }
+  m.participants.assign(rec.participants.begin(), rec.participants.end());
   m.status_code = rec.status.code();
   m.status_msg = rec.status.message();
   network_->Send(rec.source, std::move(m));

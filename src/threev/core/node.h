@@ -269,7 +269,7 @@ class Node {
   // Registers the pending record; if no children are outstanding,
   // completes immediately.
   void FinishExecution(const ExecPtr& ctx, Status status,
-                       std::vector<SubtxnId> spawned,
+                       std::vector<SubtxnId> child_ids,
                        std::map<std::string, Value> reads);
 
   // --- hierarchical completion ---

@@ -148,6 +148,7 @@ FuzzResult RunPlan(const FuzzPlan& plan, const FuzzOptions& options) {
     mix(msg.version);
     mix(msg.seq);
     mix(msg.flag ? 1 : 0);
+    mix(msg.compensation ? 1 : 0);
     mix(static_cast<uint64_t>(msg.status_code));
     // Off-diagonal R/C contributions all ride on a delivered subtxn
     // request (compensations included); roots self-count on the diagonal.

@@ -48,30 +48,6 @@ const char* MsgTypeName(MsgType type) {
   return "?";
 }
 
-namespace {
-size_t PlanBytes(const SubtxnPlan& plan) {
-  size_t n = 8;
-  for (const auto& op : plan.ops) {
-    n += 1 + 4 + op.key.size() + 8 + 4 + op.payload.size();
-  }
-  for (const auto& c : plan.children) n += PlanBytes(c);
-  return n;
-}
-}  // namespace
-
-size_t Message::ApproxBytes() const {
-  // Fixed header fields, including the three u64 TraceContext ids.
-  size_t n = 1 + 4 + 8 + 8 + 8 + 4 + 8 + 1 + 1 + 4 + 24;
-  n += PlanBytes(plan);
-  n += spawned.size() * 8;
-  for (const auto& [key, value] : reads) {
-    n += 4 + key.size() + value.ByteSize();
-  }
-  n += (counters_r.size() + counters_c.size()) * 12;
-  n += 1 + status_msg.size();
-  return n;
-}
-
 std::string Message::ToString() const {
   std::ostringstream os;
   os << MsgTypeName(type) << "{from=" << from;

@@ -19,7 +19,7 @@ namespace threev {
 enum class MsgType : uint8_t {
   // --- user transactions (Sections 4.1 / 4.2) ---
   kSubtxnRequest = 0,    // execute a subtransaction (root or descendant)
-  kCompletionNotice,     // subtxn terminated: spawned ids + read results
+  kCompletionNotice,     // subtxn terminated: participants + read results
 
   // --- version advancement (Section 4.3) ---
   kStartAdvancement,     // phase 1: new update version
@@ -61,11 +61,12 @@ struct Message {
   // for counter reads, request id for client submissions.
   uint64_t seq = 0;
   // Generic flag: read_only for kSubtxnRequest; commit/abort for kDecision
-  // and kVote; compensation marker on kSubtxnRequest.
+  // and kVote.
   bool flag = false;
   uint8_t klass = 0;  // TxnClass of the owning transaction
-  // Tracker endpoint (node that owns the completion bookkeeping for txn).
-  NodeId origin = 0;
+  // kSubtxnRequest: the subtransaction compensates an aborted one
+  // (Section 3.2), so it never injects an abort of its own.
+  bool compensation = false;
 
   // Causal trace context (all-zero when tracing is off). Carried on every
   // message and across the TCP wire so one transaction's or advancement's
@@ -74,8 +75,11 @@ struct Message {
 
   SubtxnPlan plan;  // kSubtxnRequest / kClientSubmit
 
-  std::vector<SubtxnId> spawned;                      // kCompletionNotice
-  std::vector<std::pair<std::string, Value>> reads;   // notice / result
+  // kCompletionNotice: every node the finished subtree executed on.
+  std::vector<NodeId> participants;
+  // Named values returned to the requester: read results on notices and
+  // client results, the stat map on kAdminInspectReply.
+  std::vector<std::pair<std::string, Value>> reads;
   // kCounterReadReply: R row (peer -> count) and C column (source -> count)
   // for `version` at the replying node.
   std::vector<std::pair<NodeId, int64_t>> counters_r;
@@ -83,14 +87,6 @@ struct Message {
 
   StatusCode status_code = StatusCode::kOk;  // notice / vote / client result
   std::string status_msg;
-
-  // Rough serialized size. SIM-ONLY accounting: the in-process transports
-  // (SimNet, ThreadNet) charge this estimate to Metrics::bytes_sent because
-  // nothing ever hits a wire there. TcpNet does NOT use it - it counts the
-  // real encoded frame size (header included) at send time, so bytes_sent
-  // on the TCP transport is exact bytes-on-the-wire. The two figures are
-  // close but not comparable digit-for-digit.
-  size_t ApproxBytes() const;
 
   std::string ToString() const;  // one-line debug form
 };

@@ -17,7 +17,8 @@ using MessageHandler = std::function<void(const Message&)>;
 // Transport abstraction. Three implementations:
 //   SimNet    - deterministic discrete-event simulation (virtual time).
 //   ThreadNet - one mailbox thread per endpoint, real time.
-//   TcpNet    - one process per endpoint, length-prefixed frames over TCP.
+//   TcpNet    - length-prefixed frames over TCP between processes; local
+//               delivery and timers run on an embedded ThreadNet.
 //
 // Contract, relied on by the protocol code:
 //  * Send() never executes the destination handler synchronously in the

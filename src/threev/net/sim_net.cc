@@ -1,6 +1,7 @@
 #include "threev/net/sim_net.h"
 
 #include "threev/common/logging.h"
+#include "threev/net/wire.h"
 
 namespace threev {
 
@@ -63,8 +64,9 @@ void SimNet::DispatchNow(NodeId to, Message msg, uint64_t sent_incarnation) {
 void SimNet::Send(NodeId to, Message msg) {
   if (metrics_ != nullptr) {
     metrics_->messages_sent.fetch_add(1, std::memory_order_relaxed);
-    metrics_->bytes_sent.fetch_add(static_cast<int64_t>(msg.ApproxBytes()),
-                                   std::memory_order_relaxed);
+    metrics_->bytes_sent.fetch_add(
+        static_cast<int64_t>(EncodedMessageSize(msg)),
+        std::memory_order_relaxed);
   }
   if (options_.tracer != nullptr && options_.tracer->enabled()) {
     options_.tracer->Instant(Now(), msg.from, TraceOp::kMsgSend, msg.trace,

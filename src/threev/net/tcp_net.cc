@@ -70,14 +70,20 @@ bool ReadAll(int fd, uint8_t* data, size_t size) {
 }  // namespace
 
 TcpNet::TcpNet(TcpNetOptions options, Metrics* metrics)
-    : options_(std::move(options)), metrics_(metrics) {}
+    : options_(std::move(options)),
+      metrics_(metrics),
+      local_(ThreadNetOptions{.tracer = options_.tracer}) {}
 
 TcpNet::~TcpNet() { Stop(); }
 
-Micros TcpNet::Now() const { return RealClock::Instance().Now(); }
+Micros TcpNet::Now() const { return local_.Now(); }
 
 void TcpNet::RegisterEndpoint(NodeId id, MessageHandler handler) {
-  handlers_[id] = std::move(handler);
+  local_.RegisterEndpoint(id, std::move(handler));
+}
+
+void TcpNet::ScheduleAfter(Micros delay, std::function<void()> fn) {
+  local_.ScheduleAfter(delay, std::move(fn));
 }
 
 Status TcpNet::Start() {
@@ -99,19 +105,13 @@ Status TcpNet::Start() {
     return Status::IoError("listen() failed");
   }
   listen_fd_.store(fd, std::memory_order_release);
+  local_.Start();
   accept_thread_ = std::thread([this] { AcceptLoop(); });
-  dispatch_thread_ = std::thread([this] { DispatchLoop(); });
-  timer_thread_ = std::thread([this] { TimerLoop(); });
   return Status::Ok();
 }
 
 void TcpNet::Stop() {
   if (stopping_.exchange(true)) return;
-  {
-    MutexLock lock(timer_mu_);
-    timer_stop_ = true;
-  }
-  timer_cv_.notify_all();
   if (int fd = listen_fd_.exchange(-1, std::memory_order_acq_rel); fd >= 0) {
     ::shutdown(fd, SHUT_RDWR);
     ::close(fd);
@@ -124,10 +124,10 @@ void TcpNet::Stop() {
     }
     connections_.clear();
   }
-  inbound_.Close();
+  // Stops the timer, then drains the local mailboxes; handlers that send
+  // to a remote endpoint now find no connection and drop the message.
+  local_.Stop();
   if (accept_thread_.joinable()) accept_thread_.join();
-  if (dispatch_thread_.joinable()) dispatch_thread_.join();
-  if (timer_thread_.joinable()) timer_thread_.join();
   {
     // Unblock readers parked in recv() on accepted connections.
     MutexLock lock(readers_mu_);
@@ -178,31 +178,13 @@ void TcpNet::ReaderLoop(int fd) {
                         << msg.status().ToString();
       continue;
     }
-    inbound_.Push(Inbound{dest, std::move(msg).value()});
-  }
-  ::close(fd);
-}
-
-void TcpNet::DispatchLoop() {
-  for (;;) {
-    // Batch drain: one wakeup delivers every frame queued since the last,
-    // instead of a lock round trip per message.
-    std::deque<Inbound> batch = inbound_.PopAll();
-    if (batch.empty()) return;  // closed and drained
-    for (auto& item : batch) {
-      auto it = handlers_.find(item.to);
-      if (it == handlers_.end()) {
-        THREEV_LOG(kWarn) << "no local endpoint " << item.to;
-        continue;
-      }
-      if (options_.tracer != nullptr && options_.tracer->enabled()) {
-        options_.tracer->Instant(Now(), item.to, TraceOp::kMsgRecv,
-                                 item.msg.trace,
-                                 static_cast<uint8_t>(item.msg.type));
-      }
-      it->second(item.msg);
+    // An unknown destination is outside input, not a local bug: log and
+    // keep reading this connection.
+    if (!local_.Deliver(dest, std::move(*msg))) {
+      THREEV_LOG(kWarn) << "dropping frame for unknown endpoint " << dest;
     }
   }
+  ::close(fd);
 }
 
 std::shared_ptr<TcpNet::Conn> TcpNet::ConnectionTo(NodeId to) {
@@ -288,12 +270,9 @@ void TcpNet::Send(NodeId to, Message msg) {
     options_.tracer->Instant(Now(), msg.from, TraceOp::kMsgSend, msg.trace,
                              static_cast<uint8_t>(msg.type));
   }
-  // Local endpoint: skip the wire, but still go through the dispatcher so
-  // the no-synchronous-delivery contract holds.
-  if (handlers_.count(to) != 0) {
-    inbound_.Push(Inbound{to, std::move(msg)});
-    return;
-  }
+  // Local endpoint: skip the wire, but still go through its mailbox so the
+  // no-synchronous-delivery contract holds.
+  if (local_.Deliver(to, std::move(msg))) return;
   // Build the full frame (header + payload) in one recycled buffer. The
   // exact-size pre-pass lets the length prefix go first, with no patching
   // and no second buffer.
@@ -310,8 +289,7 @@ void TcpNet::Send(NodeId to, Message msg) {
   // must be exact or the receiver mis-frames the stream.
   THREEV_CHECK(frame.size() == 8 + payload_size);
   if (metrics_ != nullptr) {
-    // Real bytes handed to the socket for this message, header included
-    // (TcpNet never uses the sim-only Message::ApproxBytes estimate).
+    // Real bytes handed to the socket for this message, header included.
     metrics_->bytes_sent.fetch_add(static_cast<int64_t>(frame.size()),
                                    std::memory_order_relaxed);
   }
@@ -331,40 +309,6 @@ void TcpNet::Send(NodeId to, Message msg) {
   // First sender to find the connection idle drains it - including frames
   // that arrive while it is busy writing. Everyone else just enqueued.
   if (flush) FlushConn(conn, to);
-}
-
-void TcpNet::ScheduleAfter(Micros delay, std::function<void()> fn) {
-  bool new_front;
-  {
-    MutexLock lock(timer_mu_);
-    if (timer_stop_) return;
-    auto it = timers_.emplace(Now() + delay, std::move(fn));
-    new_front = (it == timers_.begin());
-  }
-  // Wake the timer thread only when the new deadline precedes the one it
-  // is sleeping toward; a later timer will be picked up naturally.
-  if (new_front) timer_cv_.notify_all();
-}
-
-void TcpNet::TimerLoop() {
-  MutexLock lock(timer_mu_);
-  while (!timer_stop_) {
-    if (timers_.empty()) {
-      timer_cv_.wait(lock);
-      continue;
-    }
-    Micros next = timers_.begin()->first;
-    Micros now = Now();
-    if (now < next) {
-      timer_cv_.wait_for(lock, std::chrono::microseconds(next - now));
-      continue;
-    }
-    auto fn = std::move(timers_.begin()->second);
-    timers_.erase(timers_.begin());
-    lock.unlock();
-    fn();
-    lock.lock();
-  }
 }
 
 }  // namespace threev

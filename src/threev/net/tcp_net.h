@@ -10,10 +10,10 @@
 #include <vector>
 
 #include "threev/common/mutex.h"
-#include "threev/common/queue.h"
 #include "threev/common/thread_annotations.h"
 #include "threev/metrics/metrics.h"
 #include "threev/net/network.h"
+#include "threev/net/thread_net.h"
 #include "threev/net/wire.h"
 #include "threev/trace/trace.h"
 
@@ -35,10 +35,11 @@ struct TcpNetOptions {
 
 // TCP transport for genuine multi-process deployments ("manual networking
 // plumbing"). Frame format: u32 length, u32 destination endpoint id
-// (little-endian), EncodeMessage payload. Each accepted connection gets a
-// reader thread; inbound messages are dispatched on a per-process
-// dispatcher thread so handler execution is serialized the same way as
-// ThreadNet mailboxes.
+// (little-endian), EncodeMessage payload. Delivery and timers run on an
+// embedded ThreadNet: local endpoints register there, a send to a local
+// endpoint goes straight to its mailbox, and each accepted connection gets
+// a reader thread that decodes frames into the same mailboxes. Handlers
+// are therefore serialized per endpoint exactly as on ThreadNet.
 //
 // Outbound frames use a combining flush per connection: senders enqueue an
 // encoded frame under the connection's lock, and whichever sender finds
@@ -57,20 +58,15 @@ class TcpNet : public Network {
 
   void RegisterEndpoint(NodeId id, MessageHandler handler) override;
   void Send(NodeId to, Message msg) override EXCLUDES(conn_mu_);
-  void ScheduleAfter(Micros delay, std::function<void()> fn) override
-      EXCLUDES(timer_mu_);
+  void ScheduleAfter(Micros delay, std::function<void()> fn) override;
   Micros Now() const override;
 
-  // Binds the listen socket and starts accept/dispatch/timer threads.
+  // Binds the listen socket, then starts the local endpoints' workers, the
+  // timer and the accept thread. Register every local endpoint first.
   Status Start();
-  void Stop() EXCLUDES(timer_mu_, conn_mu_, readers_mu_);
+  void Stop() EXCLUDES(conn_mu_, readers_mu_);
 
  private:
-  struct Inbound {
-    NodeId to;
-    Message msg;
-  };
-
   // One outbound TCP connection. `pending` holds fully framed buffers
   // (header + payload); `flushing` marks that some sender is draining the
   // queue, so others just enqueue and leave.
@@ -83,8 +79,6 @@ class TcpNet : public Network {
 
   void AcceptLoop() EXCLUDES(readers_mu_);
   void ReaderLoop(int fd);
-  void DispatchLoop();
-  void TimerLoop() EXCLUDES(timer_mu_);
   // Returns the cached (or freshly established) connection to `to`.
   std::shared_ptr<Conn> ConnectionTo(NodeId to) EXCLUDES(conn_mu_);
   // Drains conn->pending with sendmsg() until another flusher takes over
@@ -97,7 +91,9 @@ class TcpNet : public Network {
 
   TcpNetOptions options_;
   Metrics* metrics_;
-  std::unordered_map<NodeId, MessageHandler> handlers_;
+  // Local endpoints' mailboxes and workers, and the timer thread. Carries
+  // no Metrics: Send() does the accounting for both paths.
+  ThreadNet local_;
 
   std::atomic<bool> stopping_{false};
   // Atomic: Stop() closes-and-invalidates while AcceptLoop reads it for
@@ -109,20 +105,11 @@ class TcpNet : public Network {
   // Shut down in Stop() to unblock readers.
   std::vector<int> accepted_fds_ GUARDED_BY(readers_mu_);
 
-  BlockingQueue<Inbound> inbound_;
-  std::thread dispatch_thread_;
-
   Mutex conn_mu_;
   std::unordered_map<NodeId, std::shared_ptr<Conn>> connections_
       GUARDED_BY(conn_mu_);
   // Recycles encoded frame buffers across sends.
   EncodeBufferPool frame_pool_;
-
-  Mutex timer_mu_;
-  CondVar timer_cv_;
-  std::multimap<Micros, std::function<void()>> timers_ GUARDED_BY(timer_mu_);
-  bool timer_stop_ GUARDED_BY(timer_mu_) = false;
-  std::thread timer_thread_;
 };
 
 }  // namespace threev

@@ -1,10 +1,10 @@
 #include "threev/net/thread_net.h"
 
-#include <algorithm>
 #include <chrono>
 #include <deque>
 
 #include "threev/common/logging.h"
+#include "threev/net/wire.h"
 
 namespace threev {
 
@@ -25,45 +25,27 @@ void ThreadNet::RegisterEndpoint(NodeId id, MessageHandler handler) {
 
 void ThreadNet::Start() {
   THREEV_CHECK(!started_.exchange(true, std::memory_order_acq_rel));
-  const int workers = std::max(1, options_.workers_per_endpoint);
   Tracer* tracer = options_.tracer;
   for (auto& [id, ep] : endpoints_) {
     Endpoint* e = ep.get();
     const NodeId self = id;
-    if (workers == 1) {
-      // Single worker: drain the mailbox in batches. One wakeup and one
-      // lock round trip serve an entire burst of messages, and handler
-      // execution stays serialized.
-      e->workers.emplace_back([e, tracer, self] {
-        for (;;) {
-          std::deque<Message> batch = e->mailbox.PopAll();
-          if (batch.empty()) return;  // closed and drained
-          for (auto& msg : batch) {
-            if (tracer != nullptr && tracer->enabled()) {
-              tracer->Instant(RealClock::Instance().Now(), self,
-                              TraceOp::kMsgRecv, msg.trace,
-                              static_cast<uint8_t>(msg.type));
-            }
-            e->handler(msg);
+    // Drain the mailbox in batches: one wakeup and one lock round trip
+    // serve an entire burst of messages, and handler execution stays
+    // serialized per endpoint.
+    e->worker = std::thread([e, tracer, self] {
+      for (;;) {
+        std::deque<Message> batch = e->mailbox.PopAll();
+        if (batch.empty()) return;  // closed and drained
+        for (auto& msg : batch) {
+          if (tracer != nullptr && tracer->enabled()) {
+            tracer->Instant(RealClock::Instance().Now(), self,
+                            TraceOp::kMsgRecv, msg.trace,
+                            static_cast<uint8_t>(msg.type));
           }
+          e->handler(msg);
         }
-      });
-    } else {
-      // Multiple workers must pull one message at a time so the burst
-      // spreads across them instead of landing on whichever woke first.
-      for (int w = 0; w < workers; ++w) {
-        e->workers.emplace_back([e, tracer, self] {
-          while (auto msg = e->mailbox.Pop()) {
-            if (tracer != nullptr && tracer->enabled()) {
-              tracer->Instant(RealClock::Instance().Now(), self,
-                              TraceOp::kMsgRecv, msg->trace,
-                              static_cast<uint8_t>(msg->type));
-            }
-            e->handler(*msg);
-          }
-        });
       }
-    }
+    });
   }
   timer_thread_ = std::thread([this] { TimerLoop(); });
 }
@@ -79,35 +61,29 @@ void ThreadNet::Stop() {
   if (timer_thread_.joinable()) timer_thread_.join();
   for (auto& [id, ep] : endpoints_) ep->mailbox.Close();
   for (auto& [id, ep] : endpoints_) {
-    for (auto& worker : ep->workers) {
-      if (worker.joinable()) worker.join();
-    }
+    if (ep->worker.joinable()) ep->worker.join();
   }
 }
 
 void ThreadNet::Send(NodeId to, Message msg) {
   if (metrics_ != nullptr) {
     metrics_->messages_sent.fetch_add(1, std::memory_order_relaxed);
-    metrics_->bytes_sent.fetch_add(static_cast<int64_t>(msg.ApproxBytes()),
-                                   std::memory_order_relaxed);
+    metrics_->bytes_sent.fetch_add(
+        static_cast<int64_t>(EncodedMessageSize(msg)),
+        std::memory_order_relaxed);
   }
   if (options_.tracer != nullptr && options_.tracer->enabled()) {
     options_.tracer->Instant(Now(), msg.from, TraceOp::kMsgSend, msg.trace,
                              static_cast<uint8_t>(msg.type));
   }
+  THREEV_CHECK(Deliver(to, std::move(msg))) << "no endpoint " << to;
+}
+
+bool ThreadNet::Deliver(NodeId to, Message&& msg) {
   auto it = endpoints_.find(to);
-  THREEV_CHECK(it != endpoints_.end()) << "no endpoint " << to;
-  Endpoint* ep = it->second.get();
-  if (options_.delivery_delay > 0) {
-    // Route through the timer thread so the sender does not sleep. FIFO is
-    // preserved because all delayed deliveries use the same fixed delay and
-    // the timer multimap is stable for equal keys.
-    ScheduleAfter(options_.delivery_delay, [ep, m = std::move(msg)]() mutable {
-      ep->mailbox.Push(std::move(m));
-    });
-  } else {
-    ep->mailbox.Push(std::move(msg));
-  }
+  if (it == endpoints_.end()) return false;
+  it->second->mailbox.Push(std::move(msg));
+  return true;
 }
 
 void ThreadNet::ScheduleAfter(Micros delay, std::function<void()> fn) {
@@ -119,9 +95,8 @@ void ThreadNet::ScheduleAfter(Micros delay, std::function<void()> fn) {
     new_front = (it == timers_.begin());
   }
   // Only a timer that becomes the new earliest deadline changes what the
-  // timer thread should be sleeping toward; waking it for every delayed
-  // delivery (the delivery_delay path routes all sends through here) just
-  // burns a syscall and a context switch per message.
+  // timer thread should be sleeping toward; a later one is picked up when
+  // the thread wakes for the earlier deadline.
   if (new_front) timer_cv_.notify_all();
 }
 

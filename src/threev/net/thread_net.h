@@ -7,7 +7,6 @@
 #include <memory>
 #include <thread>
 #include <unordered_map>
-#include <vector>
 
 #include "threev/common/clock.h"
 #include "threev/common/mutex.h"
@@ -20,25 +19,16 @@
 namespace threev {
 
 struct ThreadNetOptions {
-  // Artificial per-message delivery delay (real sleep before enqueue at the
-  // destination mailbox, applied on the timer thread so senders never
-  // block). 0 = deliver immediately.
-  Micros delivery_delay = 0;
-  // Worker threads per endpoint mailbox. The default of 1 preserves the
-  // serialized-handler contract that Node relies on. Values > 1 run the
-  // endpoint's handler concurrently from several workers - only valid for
-  // handlers that are themselves thread-safe (e.g. load generators or
-  // fan-out sinks in benchmarks), never for a Node endpoint.
-  int workers_per_endpoint = 1;
   // Observability: records kMsgSend/kMsgRecv instants carrying each
   // message's trace context. Unowned, may be null.
   Tracer* tracer = nullptr;
 };
 
 // One mailbox + worker thread per endpoint; a dedicated timer thread serves
-// ScheduleAfter and delayed deliveries. Real concurrency on real threads -
-// used by stress/integration tests to shake out races, and as the engine
-// room of the TcpNet gateway.
+// ScheduleAfter. Real concurrency on real threads - used by stress and
+// integration tests to shake out races, and as the engine room of the
+// TcpNet gateway, which hands every local send and every inbound frame to
+// Deliver().
 class ThreadNet : public Network {
  public:
   explicit ThreadNet(ThreadNetOptions options = {}, Metrics* metrics = nullptr);
@@ -48,10 +38,16 @@ class ThreadNet : public Network {
   ThreadNet& operator=(const ThreadNet&) = delete;
 
   void RegisterEndpoint(NodeId id, MessageHandler handler) override;
+  // Counts and traces the send, then delivers; `to` must be registered.
   void Send(NodeId to, Message msg) override;
   void ScheduleAfter(Micros delay, std::function<void()> fn) override
       EXCLUDES(timer_mu_);
   Micros Now() const override;
+
+  // Enqueues `msg` on `to`'s mailbox with no send-side accounting. Returns
+  // false, leaving `msg` untouched, when `to` is not a registered endpoint.
+  // After Stop() a known endpoint's message is dropped (and true returned).
+  bool Deliver(NodeId to, Message&& msg);
 
   // Starts worker threads. Call after all endpoints are registered.
   void Start();
@@ -64,7 +60,7 @@ class ThreadNet : public Network {
   struct Endpoint {
     MessageHandler handler;
     BlockingQueue<Message> mailbox;
-    std::vector<std::thread> workers;
+    std::thread worker;
   };
 
   void TimerLoop() EXCLUDES(timer_mu_);

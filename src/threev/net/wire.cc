@@ -116,12 +116,12 @@ size_t EncodedPlanSize(const SubtxnPlan& plan) {
 }  // namespace
 
 size_t EncodedMessageSize(const Message& msg) {
-  // 71 fixed header bytes (type..origin + 24-byte TraceContext) +
+  // 68 fixed header bytes (type..compensation + 24-byte TraceContext) +
   // status_code + status_msg length prefix. TcpNet writes this as the frame
   // length, so it must be exact.
-  size_t n = 71 + 1 + 4;
+  size_t n = 68 + 1 + 4;
   n += EncodedPlanSize(msg.plan);
-  n += 4 + 8 * msg.spawned.size();
+  n += 4 + 4 * msg.participants.size();
   n += 4;
   for (const auto& [key, value] : msg.reads) {
     n += 4 + key.size() + 8 + 4 + 8 * value.ids.size() + 4 + value.str.size();
@@ -146,13 +146,13 @@ void EncodeMessageTo(WireWriter& w, const Message& msg) {
   w.U64(msg.seq);
   w.Bool(msg.flag);
   w.U8(msg.klass);
-  w.U32(msg.origin);
+  w.Bool(msg.compensation);
   w.U64(msg.trace.trace_id);
   w.U64(msg.trace.span_id);
   w.U64(msg.trace.parent_span_id);
   EncodePlan(w, msg.plan);
-  w.U32(static_cast<uint32_t>(msg.spawned.size()));
-  for (SubtxnId id : msg.spawned) w.U64(id);
+  w.U32(static_cast<uint32_t>(msg.participants.size()));
+  for (NodeId id : msg.participants) w.U32(id);
   w.U32(static_cast<uint32_t>(msg.reads.size()));
   for (const auto& [key, value] : msg.reads) {
     w.Str(key);
@@ -195,15 +195,15 @@ Result<Message> DecodeMessage(const uint8_t* data, size_t size) {
   msg.seq = r.U64();
   msg.flag = r.Bool();
   msg.klass = r.U8();
-  msg.origin = r.U32();
+  msg.compensation = r.Bool();
   msg.trace.trace_id = r.U64();
   msg.trace.span_id = r.U64();
   msg.trace.parent_span_id = r.U64();
   msg.plan = DecodePlan(r);
-  uint32_t nspawned = r.U32();
-  msg.spawned.reserve(std::min<size_t>(nspawned, r.remaining() / 8));
-  for (uint32_t i = 0; i < nspawned && r.ok(); ++i) {
-    msg.spawned.push_back(r.U64());
+  uint32_t nparticipants = r.U32();
+  msg.participants.reserve(std::min<size_t>(nparticipants, r.remaining() / 4));
+  for (uint32_t i = 0; i < nparticipants && r.ok(); ++i) {
+    msg.participants.push_back(r.U32());
   }
   uint32_t nreads = r.U32();
   // Minimum encoded read: key len(4) + num(8) + ids len(4) + str len(4).

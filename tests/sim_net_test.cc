@@ -4,6 +4,8 @@
 
 #include <algorithm>
 
+#include "threev/net/wire.h"
+
 namespace threev {
 namespace {
 
@@ -84,10 +86,16 @@ TEST(SimNetTest, MetricsCountMessages) {
   Metrics metrics;
   SimNet net(SimNetOptions{.seed = 1}, &metrics);
   net.RegisterEndpoint(1, [](const Message&) {});
+  Message big = Msg(0, 2);
+  big.participants = {0, 1, 2};
+  big.status_msg = "aborted by test";
   net.Send(1, Msg(0, 1));
-  net.Send(1, Msg(0, 2));
+  net.Send(1, big);
   EXPECT_EQ(metrics.messages_sent.load(), 2);
-  EXPECT_GT(metrics.bytes_sent.load(), 0);
+  // bytes_sent charges the exact encoded size, as on the real transports.
+  EXPECT_EQ(metrics.bytes_sent.load(),
+            static_cast<int64_t>(EncodedMessageSize(Msg(0, 1)) +
+                                 EncodedMessageSize(big)));
 }
 
 TEST(SimNetManualTest, HoldsAndDeliversSelectively) {

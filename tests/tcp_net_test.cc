@@ -15,6 +15,7 @@
 #include "threev/common/wait_group.h"
 #include "threev/core/cluster.h"
 #include "threev/net/tcp_net.h"
+#include "threev/net/wire.h"
 
 namespace threev {
 namespace {
@@ -22,6 +23,39 @@ namespace {
 uint16_t BasePort() {
   // Spread across runs to dodge TIME_WAIT collisions.
   return static_cast<uint16_t>(42000 + (::getpid() % 1000) * 3);
+}
+
+// `n` distinct loopback ports that were free a moment ago (all bound to
+// port 0 at once, then released for the TcpNets to bind).
+std::vector<uint16_t> FreePorts(size_t n) {
+  std::vector<int> fds;
+  std::vector<uint16_t> ports;
+  for (size_t i = 0; i < n; ++i) {
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), len), 0);
+    EXPECT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+    fds.push_back(fd);
+    ports.push_back(ntohs(addr.sin_port));
+  }
+  for (int fd : fds) ::close(fd);
+  return ports;
+}
+
+// Appends one wire frame: u32 length, u32 destination, encoded message.
+void AppendFrame(std::vector<uint8_t>* out, NodeId dest, const Message& m) {
+  std::vector<uint8_t> payload = EncodeMessage(m);
+  std::vector<uint8_t> header;
+  {
+    WireWriter w(&header);
+    w.U32(static_cast<uint32_t>(payload.size()));
+    w.U32(dest);
+  }
+  out->insert(out->end(), header.begin(), header.end());
+  out->insert(out->end(), payload.begin(), payload.end());
 }
 
 class TcpClusterTest : public ::testing::Test {
@@ -219,6 +253,86 @@ TEST_F(TcpClusterTest, PipelinedLoadOverSockets) {
   EXPECT_EQ(committed.load(), kTotal);
   EXPECT_EQ(node0_->store().Read("cnt@0", 1)->num, kTotal);
   EXPECT_EQ(node1_->store().Read("cnt@1", 1)->num, kTotal);
+}
+
+// A well-formed frame for an endpoint this process does not host is outside
+// input: the reader drops it and keeps the connection, so the next valid
+// frame on the same socket is still delivered.
+TEST(TcpNetTest, FrameForUnknownEndpointIsDroppedAndConnectionSurvives) {
+  uint16_t port = FreePorts(1)[0];
+  TcpNet net(TcpNetOptions{
+      .peers = {{0, "127.0.0.1:" + std::to_string(port)}},
+      .listen_port = port});
+  std::atomic<uint64_t> got{0};
+  WaitGroup wg;
+  wg.Add(1);
+  net.RegisterEndpoint(0, [&](const Message& m) {
+    got.store(m.seq);
+    wg.Done();
+  });
+  ASSERT_TRUE(net.Start().ok());
+
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  Message stray;
+  stray.type = MsgType::kClientSubmit;
+  stray.seq = 1;
+  Message valid = stray;
+  valid.seq = 2;
+  std::vector<uint8_t> bytes;
+  AppendFrame(&bytes, /*dest=*/99, stray);
+  AppendFrame(&bytes, /*dest=*/0, valid);
+  ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bytes.size()));
+  ASSERT_TRUE(wg.WaitFor(std::chrono::milliseconds(15'000)));
+  ::close(fd);
+  net.Stop();
+  EXPECT_EQ(got.load(), 2u);
+}
+
+// Remote sends charge the real frame: 8 header bytes plus the exact encoded
+// message. Local deliveries never touch a socket and charge no bytes.
+TEST(TcpNetTest, BytesSentIsFrameSizeForRemoteSends) {
+  std::vector<uint16_t> ports = FreePorts(2);
+  std::map<NodeId, std::string> peers = {
+      {0, "127.0.0.1:" + std::to_string(ports[0])},
+      {1, "127.0.0.1:" + std::to_string(ports[1])},
+  };
+  Metrics sender_metrics;
+  TcpNet sender(TcpNetOptions{.peers = peers, .listen_port = ports[0]},
+                &sender_metrics);
+  TcpNet receiver(TcpNetOptions{.peers = peers, .listen_port = ports[1]});
+  WaitGroup wg;
+  wg.Add(4);
+  sender.RegisterEndpoint(0, [&](const Message&) { wg.Done(); });
+  receiver.RegisterEndpoint(1, [&](const Message&) { wg.Done(); });
+  ASSERT_TRUE(sender.Start().ok());
+  ASSERT_TRUE(receiver.Start().ok());
+
+  int64_t expected = 0;
+  for (int i = 0; i < 3; ++i) {
+    Message m;
+    m.type = MsgType::kCompletionNotice;
+    m.from = 0;
+    m.participants.assign(static_cast<size_t>(i) + 1, 0);
+    m.reads.emplace_back("k" + std::to_string(i), Value{});
+    expected += 8 + static_cast<int64_t>(EncodedMessageSize(m));
+    sender.Send(1, m);
+  }
+  Message local;
+  local.type = MsgType::kClientSubmit;
+  sender.Send(0, local);
+  ASSERT_TRUE(wg.WaitFor(std::chrono::milliseconds(15'000)));
+  sender.Stop();
+  receiver.Stop();
+  EXPECT_EQ(sender_metrics.messages_sent.load(), 4);
+  EXPECT_EQ(sender_metrics.bytes_sent.load(), expected);
 }
 
 }  // namespace

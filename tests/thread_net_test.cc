@@ -8,6 +8,7 @@
 #include "threev/common/wait_group.h"
 #include "threev/core/cluster.h"
 #include "threev/net/thread_net.h"
+#include "threev/net/wire.h"
 #include "threev/verify/checker.h"
 
 namespace threev {
@@ -143,67 +144,77 @@ TEST(ThreadNetTest, MixedNonCommutingLoadResolves) {
   }
 }
 
-// workers_per_endpoint > 1: the mailbox feeds several handler threads. The
-// handler must be thread-safe (atomics here); every message is delivered
-// exactly once, and under a blocking handler the extra workers actually run
-// concurrently (with one worker the deliberate sleeps would serialize and
-// blow the deadline).
-TEST(ThreadNetTest, MultiWorkerEndpointDeliversAllConcurrently) {
-  ThreadNet net(ThreadNetOptions{.workers_per_endpoint = 4});
-  constexpr int kMessages = 64;
-  std::atomic<int64_t> sum{0};
-  std::atomic<int> in_flight{0};
-  std::atomic<int> max_in_flight{0};
+// bytes_sent charges the one size model: the exact encoded size of every
+// message, the same figure TcpNet puts on the wire (minus its frame header).
+TEST(ThreadNetTest, BytesSentIsEncodedMessageSize) {
+  Metrics metrics;
+  ThreadNet net(ThreadNetOptions{}, &metrics);
   WaitGroup wg;
-  wg.Add(kMessages);
-  net.RegisterEndpoint(0, [&](const Message& m) {
-    int now = in_flight.fetch_add(1, std::memory_order_acq_rel) + 1;
-    int prev = max_in_flight.load(std::memory_order_relaxed);
-    while (now > prev &&
-           !max_in_flight.compare_exchange_weak(prev, now,
-                                                std::memory_order_relaxed)) {
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    sum.fetch_add(static_cast<int64_t>(m.seq), std::memory_order_relaxed);
-    in_flight.fetch_sub(1, std::memory_order_acq_rel);
-    wg.Done();
-  });
+  wg.Add(3);
+  net.RegisterEndpoint(0, [&](const Message&) { wg.Done(); });
   net.Start();
-  for (int i = 0; i < kMessages; ++i) {
+  int64_t expected = 0;
+  for (int i = 0; i < 3; ++i) {
     Message m;
-    m.type = MsgType::kClientSubmit;
-    m.seq = i + 1;
-    net.Send(0, m);
-  }
-  // 64 x 5ms serialized would be ~320ms; four workers keep it well under.
-  ASSERT_TRUE(wg.WaitFor(std::chrono::milliseconds(10'000)));
-  net.Stop();
-  EXPECT_EQ(sum.load(), int64_t{kMessages} * (kMessages + 1) / 2);
-  EXPECT_GT(max_in_flight.load(), 1) << "workers never overlapped";
-}
-
-TEST(ThreadNetTest, DeliveryDelayStillFifo) {
-  ThreadNet net(ThreadNetOptions{.delivery_delay = 500});
-  std::vector<int> order;
-  std::mutex mu;
-  WaitGroup wg;
-  wg.Add(10);
-  net.RegisterEndpoint(0, [&](const Message& m) {
-    std::lock_guard<std::mutex> lock(mu);
-    order.push_back(static_cast<int>(m.seq));
-    wg.Done();
-  });
-  net.Start();
-  for (int i = 0; i < 10; ++i) {
-    Message m;
-    m.type = MsgType::kClientSubmit;
-    m.from = 1;
-    m.seq = i;
+    m.type = MsgType::kCompletionNotice;
+    m.participants.assign(static_cast<size_t>(i), 7);
+    m.reads.emplace_back("k" + std::to_string(i), Value{});
+    m.status_msg = std::string(static_cast<size_t>(i) * 5, 'x');
+    expected += static_cast<int64_t>(EncodedMessageSize(m));
     net.Send(0, m);
   }
   ASSERT_TRUE(wg.WaitFor(std::chrono::milliseconds(5000)));
   net.Stop();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
+  EXPECT_EQ(metrics.messages_sent.load(), 3);
+  EXPECT_EQ(metrics.bytes_sent.load(), expected);
+}
+
+// Deliver is the send path minus the accounting: it enqueues for a known
+// endpoint and refuses an unknown one without consuming the message.
+TEST(ThreadNetTest, DeliverRefusesUnknownEndpointUntouched) {
+  Metrics metrics;
+  ThreadNet net(ThreadNetOptions{}, &metrics);
+  BlockingQueue<uint64_t> got;
+  net.RegisterEndpoint(0, [&](const Message& m) { got.Push(m.seq); });
+  net.Start();
+  Message m;
+  m.type = MsgType::kClientSubmit;
+  m.seq = 9;
+  m.status_msg = "kept";
+  EXPECT_FALSE(net.Deliver(5, std::move(m)));
+  EXPECT_EQ(m.status_msg, "kept");  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(net.Deliver(0, std::move(m)));
+  EXPECT_EQ(got.Pop().value(), 9u);
+  net.Stop();
+  EXPECT_EQ(metrics.messages_sent.load(), 0);
+  EXPECT_EQ(metrics.bytes_sent.load(), 0);
+}
+
+// Version 0 counts as frozen from the node's start, on the transport's
+// clock, so a version-0 read on a real transport is only as stale as the
+// cluster is old (not as old as the steady clock's epoch).
+TEST(ThreadNetTest, VersionZeroStalenessCountsFromNodeStart) {
+  Metrics metrics;
+  ThreadNet net(ThreadNetOptions{}, &metrics);
+  ClusterOptions options;
+  options.num_nodes = 2;
+  Cluster cluster(options, &net, &metrics);
+  net.Start();
+  WaitGroup wg;
+  wg.Add(1);
+  TxnResult result;
+  cluster.Submit(0, TxnBuilder(0).Get("x").Child(1, {OpGet("y")}).Build(),
+                 [&](const TxnResult& r) {
+                   result = r;
+                   wg.Done();
+                 });
+  ASSERT_TRUE(wg.WaitFor(std::chrono::milliseconds(10'000)));
+  net.Stop();
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_EQ(result.version, 0u);
+  ASSERT_EQ(metrics.staleness.count(), 1);
+  EXPECT_GE(metrics.staleness.max(), 0);
+  EXPECT_LT(metrics.staleness.max(), 10'000'000);
 }
 
 }  // namespace

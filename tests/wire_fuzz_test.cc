@@ -22,6 +22,7 @@ Message RandomMessage(Rng& rng) {
   m.seq = rng.Next();
   m.flag = rng.Bernoulli(0.5);
   m.klass = static_cast<uint8_t>(rng.Uniform(2));
+  m.compensation = rng.Bernoulli(0.5);
   m.plan.node = static_cast<NodeId>(rng.Uniform(16));
   size_t nops = rng.Uniform(5);
   for (size_t i = 0; i < nops; ++i) {
@@ -46,6 +47,12 @@ Message RandomMessage(Rng& rng) {
     child.node = static_cast<NodeId>(rng.Uniform(16));
     child.ops.push_back(OpAdd("c", 1));
     m.plan.children.push_back(child);
+  }
+  // Participant ids span the full u32 range: the wire form is u32, so a
+  // truncating encoder shows up here.
+  size_t nparticipants = rng.Uniform(4);
+  for (size_t i = 0; i < nparticipants; ++i) {
+    m.participants.push_back(static_cast<NodeId>(rng.Next()));
   }
   size_t nreads = rng.Uniform(3);
   for (size_t i = 0; i < nreads; ++i) {
@@ -95,6 +102,8 @@ TEST(WireFuzzTest, RandomMessagesRoundTrip) {
     EXPECT_EQ(decoded->txn, m.txn);
     EXPECT_EQ(decoded->version, m.version);
     EXPECT_EQ(decoded->flag, m.flag);
+    EXPECT_EQ(decoded->compensation, m.compensation);
+    EXPECT_EQ(decoded->participants, m.participants);
     EXPECT_EQ(decoded->plan.ops.size(), m.plan.ops.size());
     ASSERT_EQ(decoded->reads.size(), m.reads.size());
     for (size_t r = 0; r < m.reads.size(); ++r) {

@@ -54,6 +54,12 @@ analysis can express, because they live above the type system:
                      also name every field) keeps the two surfaces from
                      silently drifting as fields are added.
 
+  message-fields     Every data member of struct Message (net/message.h) is
+                     written by EncodeMessageTo, read back by DecodeMessage
+                     (net/wire.cc), and read somewhere outside net/ through
+                     a Message-typed variable. A field nothing outside the
+                     transports reads is dead weight on every frame.
+
 Usage:
   tools/threev_lint.py [--root REPO_ROOT]   lint the tree (exit 1 on findings)
   tools/threev_lint.py --self-test          run the seeded-violation tests
@@ -515,6 +521,99 @@ def check_metrics_observability(files):
     return findings
 
 
+# ---------------------------------------------------------------------------
+# Rule: message fields
+# ---------------------------------------------------------------------------
+#
+# Each Message field costs bytes on every frame, so each must mean something
+# to the protocol: the codec carries it both ways and some layer above the
+# transports reads it. A "read" is `var.field` on a variable declared as a
+# Message in the same file, not followed by an assignment or a container
+# mutator. Lexical, like the other rules: it sees handler parameters and
+# locals (`const Message& msg`, `Message reply;`), which is where protocol
+# code touches messages.
+
+MESSAGE_DECL = "src/threev/net/message.h"
+MESSAGE_CODEC = "src/threev/net/wire.cc"
+NET_DIR = "src/threev/net/"
+MESSAGE_MUTATORS = {"push_back", "emplace_back", "assign", "insert", "clear",
+                    "reserve", "resize"}
+
+
+def parse_message_fields(code):
+    m = re.search(r"struct\s+Message\s*\{(.*?)\n\};", code, re.S)
+    if m is None:
+        return []
+    fields = []
+    for stmt in m.group(1).split(";"):
+        stmt = stmt.strip()
+        decl = stmt.split("=", 1)[0]
+        if not stmt or "(" in decl:
+            continue  # member function declaration
+        name = re.search(r"(\w+)\s*(?:\{[^}]*\})?\s*$", decl)
+        if name is not None:
+            fields.append(name.group(1))
+    return fields
+
+
+def message_vars(code):
+    return set(re.findall(
+        r"\bMessage\s*(?:const\s*)?(?:&&|&|\*)?\s*([A-Za-z_]\w*)\s*[;,)=({]",
+        code))
+
+
+def reads_field(code, var, field):
+    pattern = (r"\b" + re.escape(var) + r"\s*\.\s*" + field +
+               r"\b((?:\s*\.\s*\w+)*)\s*(==|=|\()?")
+    for m in re.finditer(pattern, code):
+        chain = re.findall(r"\w+", m.group(1))
+        if m.group(2) == "=":
+            continue  # assignment to the field (or a sub-field)
+        if m.group(2) == "(" and chain and chain[-1] in MESSAGE_MUTATORS:
+            continue
+        return True
+    return False
+
+
+def check_message_fields(files):
+    findings = []
+    paths = by_path(files)
+    decl = paths.get(MESSAGE_DECL)
+    codec = paths.get(MESSAGE_CODEC)
+    if decl is None or codec is None:
+        return findings
+    fields = parse_message_fields(decl.code)
+    if not fields:
+        findings.append(Finding("message-fields", MESSAGE_DECL, 1,
+                                "could not parse the Message struct's fields"))
+        return findings
+    bodies = {}
+    for fn in ("EncodeMessageTo", "DecodeMessage"):
+        bodies[fn] = extract_function_body(codec.code, fn)
+        if bodies[fn] is None:
+            findings.append(Finding("message-fields", MESSAGE_CODEC, 1,
+                                    f"could not locate the body of {fn}"))
+    outside = [f for f in files
+               if not f.path.replace(os.sep, "/").startswith(NET_DIR)]
+    for field in fields:
+        line = decl.line_of(decl.code.find(field,
+                                           decl.code.find("struct Message")))
+        for fn, body in bodies.items():
+            if body is not None and not re.search(
+                    r"\bmsg\s*\.\s*" + field + r"\b", body):
+                findings.append(Finding(
+                    "message-fields", MESSAGE_DECL, line,
+                    f"Message::{field} is not handled by {fn}; the field "
+                    "would silently vanish on the TCP wire"))
+        if not any(reads_field(f.code, var, field)
+                   for f in outside for var in message_vars(f.code)):
+            findings.append(Finding(
+                "message-fields", MESSAGE_DECL, line,
+                f"Message::{field} is never read outside net/; delete it or "
+                "give it a reader"))
+    return findings
+
+
 RULES = [
     check_wire_symmetry,
     check_lock_blocking,
@@ -523,6 +622,7 @@ RULES = [
     check_capability,
     check_analysis_optout,
     check_metrics_observability,
+    check_message_fields,
 ]
 
 
@@ -803,6 +903,80 @@ void VersionedStore::Bad2() {
     expect("metrics histogram missing from exporter",
            check_metrics_observability([metrics_h, metrics_cc_ok, prom_cc_bad]),
            "metrics-observability", True)
+
+    # --- message fields ---------------------------------------------------
+    message_h = _mkfile(
+        "src/threev/net/message.h",
+        "struct Message {\n"
+        "  MsgType type = MsgType::kSubtxnRequest;\n"
+        "  NodeId from = 0;\n"
+        "  std::vector<std::pair<NodeId, int64_t>> counters_r;\n"
+        "  std::string ToString() const;\n"
+        "};\n")
+    wire_cc = _mkfile(
+        "src/threev/net/wire.cc",
+        "void EncodeMessageTo(WireWriter& w, const Message& msg) {\n"
+        "  w.U8(msg.type);\n  w.U32(msg.from);\n"
+        "  for (auto& c : msg.counters_r) w.U32(c.first);\n"
+        "}\n"
+        "Result<Message> DecodeMessage(const uint8_t* data, size_t size) {\n"
+        "  msg.type = r.U8();\n  msg.from = r.U32();\n"
+        "  msg.counters_r.emplace_back(r.U32(), 0);\n"
+        "}\n")
+    reader_cc = _mkfile(
+        "src/threev/core/node.cc",
+        "void Node::HandleMessage(const Message& msg) {\n"
+        "  switch (msg.type) {}\n"
+        "  Message reply;\n  reply.from = id;\n"
+        "  Reply(msg.from, msg.counters_r.size());\n"
+        "}\n")
+    expect("message fields encoded, decoded and read",
+           check_message_fields([message_h, wire_cc, reader_cc]),
+           "message-fields", False)
+    # Seed: a field that rides the wire but nothing outside net/ reads - only
+    # written (`reply.origin = ...`) and read off another struct (`job.`).
+    message_h_dead = _mkfile(
+        "src/threev/net/message.h",
+        "struct Message {\n"
+        "  MsgType type = MsgType::kSubtxnRequest;\n"
+        "  NodeId from = 0;\n"
+        "  NodeId origin = 0;\n"
+        "  std::vector<std::pair<NodeId, int64_t>> counters_r;\n"
+        "};\n")
+    wire_cc_dead = _mkfile(
+        "src/threev/net/wire.cc",
+        "void EncodeMessageTo(WireWriter& w, const Message& msg) {\n"
+        "  w.U8(msg.type);\n  w.U32(msg.from);\n  w.U32(msg.origin);\n"
+        "  for (auto& c : msg.counters_r) w.U32(c.first);\n"
+        "}\n"
+        "Result<Message> DecodeMessage(const uint8_t* data, size_t size) {\n"
+        "  msg.type = r.U8();\n  msg.from = r.U32();\n"
+        "  msg.origin = r.U32();\n"
+        "  msg.counters_r.emplace_back(r.U32(), 0);\n"
+        "}\n")
+    writer_cc = _mkfile(
+        "src/threev/core/node.cc",
+        "void Node::HandleMessage(const Message& msg) {\n"
+        "  switch (msg.type) {}\n"
+        "  Message reply;\n  reply.from = id;\n  reply.origin = job.origin;\n"
+        "  Reply(msg.from, msg.counters_r.size());\n"
+        "}\n")
+    expect("message field never read outside net/",
+           check_message_fields([message_h_dead, wire_cc_dead, writer_cc]),
+           "message-fields", True)
+    # Seed: a field the encoder forgets.
+    wire_cc_lossy = _mkfile(
+        "src/threev/net/wire.cc",
+        "void EncodeMessageTo(WireWriter& w, const Message& msg) {\n"
+        "  w.U8(msg.type);\n  w.U32(msg.from);\n"
+        "}\n"
+        "Result<Message> DecodeMessage(const uint8_t* data, size_t size) {\n"
+        "  msg.type = r.U8();\n  msg.from = r.U32();\n"
+        "  msg.counters_r.emplace_back(r.U32(), 0);\n"
+        "}\n")
+    expect("message field missing from the encoder",
+           check_message_fields([message_h, wire_cc_lossy, reader_cc]),
+           "message-fields", True)
 
     # --- stripping machinery ---------------------------------------------
     stripped = strip_comments_and_strings(
