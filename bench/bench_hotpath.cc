@@ -1,7 +1,7 @@
 // Hot-path microbenchmarks with machine-readable output: the per-PR perf
-// trajectory for the versioned-store read path, the wire codec, and the
-// mailbox drain. Unlike the google-benchmark targets (bench_micro), this
-// harness emits BENCH_hotpath.json (schema checked by
+// trajectory for the versioned-store read path and garbage collection, the
+// wire codec, and the mailbox drain. Unlike the google-benchmark targets
+// (bench_micro), this harness emits BENCH_hotpath.json (schema checked by
 // tools/check_bench_json.py) so CI can archive per-run numbers and future
 // PRs can diff against the committed baseline
 // (bench/BENCH_hotpath.baseline.json = pre-optimization seed code,
@@ -246,6 +246,38 @@ HotpathResult BenchStoreReadWhileWrite(size_t threads, int64_t batches) {
   return r;
 }
 
+// Phase-4 garbage collection at the audit_tcp shape: 13.3k keys per node,
+// of which an advancement's worth (90) gained a second copy since the last
+// GC. Each op is one GarbageCollect; the updates that dirty the store run
+// between the timed GCs, so the row measures GC alone. Latency is per GC.
+HotpathResult BenchStoreGc(int64_t rounds) {
+  constexpr size_t kKeys = 13'300;
+  constexpr int kDirtyPerGc = 90;
+  VersionedStore store;
+  std::vector<std::string> keys;
+  SeedStore(store, kKeys, keys);
+  Histogram lat;
+  Rng rng(11);
+  HotpathResult r;
+  r.name = "store_gc";
+  r.ops = rounds;
+  for (int64_t round = 0; round < rounds; ++round) {
+    const Version vu = static_cast<Version>(round) + 2;
+    for (int i = 0; i < kDirtyPerGc; ++i) {
+      const std::string& key = keys[rng.Uniform(keys.size())];
+      (void)store.Update(key, vu, OpAdd(key, 1));
+    }
+    Clock::time_point t0 = Clock::now();
+    store.GarbageCollect(vu);
+    const int64_t ns = ElapsedNs(t0);
+    lat.Record(ns);
+    r.elapsed_ns += ns;
+  }
+  r.p50_ns = lat.Percentile(50);
+  r.p99_ns = lat.Percentile(99);
+  return r;
+}
+
 // --- wire codec ------------------------------------------------------------
 
 // A representative protocol message: a completion notice carrying a plan
@@ -453,7 +485,8 @@ int Main(int argc, char** argv) {
   tracer.set_enabled(!trace_out.empty());
   if (tracer.enabled()) tracer.SetTrackName(0, "bench_hotpath");
 
-  PrintHeader("hot-path microbenchmarks (store read / wire codec / queue)");
+  PrintHeader(
+      "hot-path microbenchmarks (store read / GC / wire codec / queue)");
   std::vector<HotpathResult> results;
   auto run = [&](const std::function<HotpathResult()>& fn) {
     TraceContext span;
@@ -472,6 +505,7 @@ int Main(int argc, char** argv) {
   run([&] { return BenchStoreReadIntoTracedOff(read_threads, scale); });
   run([&] { return BenchStoreReadSpread(scale); });
   run([&] { return BenchStoreReadWhileWrite(read_threads, scale / 2); });
+  run([&] { return BenchStoreGc(scale / 40); });
   run([&] { return BenchWireEncode(scale / 4); });
   run([&] { return BenchWireEncodePooled(scale / 4); });
   run([&] { return BenchWireDecode(scale / 4); });

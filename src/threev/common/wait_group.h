@@ -18,13 +18,12 @@ class WaitGroup {
     count_ += delta;
   }
 
+  // Notifies while holding `mu_`: a waiter that sees the count reach zero
+  // may destroy this WaitGroup at once, so Done must not touch `cv_` after
+  // releasing the lock.
   void Done() EXCLUDES(mu_) {
-    bool notify = false;
-    {
-      MutexLock lock(mu_);
-      if (--count_ <= 0) notify = true;
-    }
-    if (notify) cv_.notify_all();
+    MutexLock lock(mu_);
+    if (--count_ <= 0) cv_.notify_all();
   }
 
   void Wait() EXCLUDES(mu_) {

@@ -17,6 +17,7 @@ void Metrics::Reset() {
   version_inferences = 0;
   advancements_completed = 0;
   quiescence_rounds = 0;
+  gc_records_visited = 0;
   lock_waits = 0;
   lock_wait_micros = 0;
   version_gate_waits = 0;
@@ -54,6 +55,7 @@ void Metrics::MergeFrom(const Metrics& other) {
   version_inferences += other.version_inferences.load();
   advancements_completed += other.advancements_completed.load();
   quiescence_rounds += other.quiescence_rounds.load();
+  gc_records_visited += other.gc_records_visited.load();
   lock_waits += other.lock_waits.load();
   lock_wait_micros += other.lock_wait_micros.load();
   version_gate_waits += other.version_gate_waits.load();
@@ -91,7 +93,8 @@ std::string Metrics::Report() const {
      << " dual_writes=" << dual_version_writes.load()
      << " inferences=" << version_inferences.load()
      << " advancements=" << advancements_completed.load()
-     << " quiescence_rounds=" << quiescence_rounds.load() << "\n";
+     << " quiescence_rounds=" << quiescence_rounds.load()
+     << " gc_records_visited=" << gc_records_visited.load() << "\n";
   os << "blocking: lock_waits=" << lock_waits.load()
      << " lock_wait_us=" << lock_wait_micros.load()
      << " version_gate_waits=" << version_gate_waits.load() << "\n";

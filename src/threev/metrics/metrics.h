@@ -39,6 +39,9 @@ struct Metrics {
   std::atomic<int64_t> version_inferences{0};
   std::atomic<int64_t> advancements_completed{0};
   std::atomic<int64_t> quiescence_rounds{0};     // phase-2/4 read waves pairs
+  // Records phase-4 GC visited, summed over GCs: the dirty-listed records,
+  // not the store size (VersionedStore::GarbageCollect).
+  std::atomic<int64_t> gc_records_visited{0};
 
   // Blocking behaviour (the paper's headline claim is that these stay zero
   // for user transactions in pure-3V mode).

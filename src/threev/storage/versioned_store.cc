@@ -28,14 +28,58 @@ int VersionedStore::Record::FindExact(Version v) const {
 VersionedStore::VersionedStore(Metrics* metrics) : metrics_(metrics) {}
 
 // ---------------------------------------------------------------------------
+// Effective labels and the dirty list (DESIGN.md section 11)
+// ---------------------------------------------------------------------------
+
+Version VersionedStore::OldestLabel(const Shard& shard, const Entry& e,
+                                    Version floor) {
+  const auto& versions = e.second.versions;
+  const Version oldest = versions.front().first;
+  if (oldest >= floor || versions.size() > 1) return oldest;
+  // A single copy below the floor is exact only if it was written there,
+  // which listed it. Outside tests and checkpoint loading this never
+  // happens, and `below_floor` skips the search.
+  if (shard.below_floor &&
+      std::find(shard.dirty.begin(), shard.dirty.end(), &e) !=
+          shard.dirty.end()) {
+    return oldest;
+  }
+  return floor;
+}
+
+int VersionedStore::FindVisible(const Shard& shard, const Entry& e,
+                                Version max_version, Version floor) {
+  // Only the oldest copy's label can read higher than it is stored.
+  int idx = e.second.FindLE(max_version);
+  if (idx == 0 && OldestLabel(shard, e, floor) > max_version) return -1;
+  return idx;
+}
+
+void VersionedStore::Settle(Shard& shard, Entry& e, Version floor) {
+  auto& versions = e.second.versions;
+  if (versions.size() == 1) versions[0].first = OldestLabel(shard, e, floor);
+}
+
+void VersionedStore::TrackDirty(Shard& shard, Entry& e, size_t copies_before,
+                                Version version, Version floor) {
+  const bool below = version < floor;
+  if (below || (copies_before == 1 && e.second.versions.size() == 2)) {
+    shard.dirty.push_back(&e);
+  }
+  if (below) shard.below_floor = true;
+}
+
+// ---------------------------------------------------------------------------
 // Fast-slot seqlock (DESIGN.md section 11)
 // ---------------------------------------------------------------------------
 
 void VersionedStore::RefreshSlot(Shard& shard, size_t hash,
-                                 std::string_view key, const Record* rec) {
+                                 std::string_view key, const Record* rec,
+                                 Version floor) {
   FastSlot& slot = shard.slots[SlotIndex(hash)];
   const bool eligible =
       rec != nullptr && rec->versions.size() == 1 &&
+      rec->versions[0].first >= floor &&
       key.size() <= FastSlot::kKeyWords * 8 &&
       rec->versions[0].second.ids.empty() &&
       rec->versions[0].second.str.size() <= FastSlot::kStrWords * 8;
@@ -132,8 +176,12 @@ bool VersionedStore::TryReadFast(const Shard& shard, size_t hash,
     std::atomic_thread_fence(std::memory_order_acquire);
     if (slot.seq.load(std::memory_order_relaxed) != s1) continue;  // torn
 
-    // Validated snapshot; decide entirely from the copied-out state.
-    if (version > max_version) return false;  // locked path decides NotFound
+    // Validated snapshot; decide entirely from the copied-out state. The
+    // slot's label reads as at least the floor, like every unlisted record.
+    if (version > max_version ||
+        floor_.load(std::memory_order_relaxed) > max_version) {
+      return false;  // locked path decides NotFound
+    }
     out->num = num;
     out->ids.clear();
     if (str_len == 0) {
@@ -158,7 +206,8 @@ Status VersionedStore::ReadInto(const std::string& key, Version max_version,
   ReaderMutexLock lock(shard.mu);
   auto it = shard.records.find(HashedKey{key, hash});
   if (it == shard.records.end()) return Status::NotFound(key);
-  int idx = it->second.FindLE(max_version);
+  int idx = FindVisible(shard, *it, max_version,
+                        floor_.load(std::memory_order_relaxed));
   if (idx < 0) {
     return Status::NotFound(key + " has no version <= " +
                             std::to_string(max_version));
@@ -180,7 +229,8 @@ Result<Value> VersionedStore::Read(const std::string& key,
   ReaderMutexLock lock(shard.mu);
   auto it = shard.records.find(HashedKey{key, hash});
   if (it == shard.records.end()) return Status::NotFound(key);
-  int idx = it->second.FindLE(max_version);
+  int idx = FindVisible(shard, *it, max_version,
+                        floor_.load(std::memory_order_relaxed));
   if (idx < 0) {
     return Status::NotFound(key + " has no version <= " +
                             std::to_string(max_version));
@@ -191,12 +241,13 @@ Result<Value> VersionedStore::Read(const std::string& key,
 std::vector<std::pair<std::string, Value>> VersionedStore::ScanPrefix(
     const std::string& prefix, Version max_version) const {
   std::vector<std::pair<std::string, Value>> out;
+  const Version floor = floor_.load(std::memory_order_relaxed);
   for (const auto& shard : shards_) {
     ReaderMutexLock lock(shard.mu);
-    for (const auto& [key, rec] : shard.records) {
-      if (key.compare(0, prefix.size(), prefix) != 0) continue;
-      int idx = rec.FindLE(max_version);
-      if (idx >= 0) out.emplace_back(key, rec.versions[idx].second);
+    for (const auto& e : shard.records) {
+      if (e.first.compare(0, prefix.size(), prefix) != 0) continue;
+      int idx = FindVisible(shard, e, max_version, floor);
+      if (idx >= 0) out.emplace_back(e.first, e.second.versions[idx].second);
     }
   }
   std::sort(out.begin(), out.end(),
@@ -218,6 +269,9 @@ void VersionedStore::Seed(const std::string& key, Value value,
     it = shard.records.emplace(key, Record{}).first;
   }
   Record& rec = it->second;
+  const Version floor = floor_.load(std::memory_order_relaxed);
+  Settle(shard, *it, floor);
+  const size_t copies_before = rec.versions.size();
   int idx = rec.FindExact(version);
   if (idx >= 0) {
     rec.versions[idx].second = std::move(value);
@@ -226,7 +280,8 @@ void VersionedStore::Seed(const std::string& key, Value value,
     std::sort(rec.versions.begin(), rec.versions.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
   }
-  RefreshSlot(shard, hash, key, &rec);
+  TrackDirty(shard, *it, copies_before, version, floor);
+  RefreshSlot(shard, hash, key, &rec, floor);
 }
 
 Result<int> VersionedStore::Update(
@@ -240,6 +295,9 @@ Result<int> VersionedStore::Update(
     it = shard.records.emplace(key, Record{}).first;
   }
   Record& rec = it->second;
+  const Version floor = floor_.load(std::memory_order_relaxed);
+  Settle(shard, *it, floor);
+  const size_t copies_before = rec.versions.size();
 
   // Atomic check-and-create of key(version): copy the maximum existing
   // version <= `version`, or start from an empty value for a fresh key.
@@ -272,7 +330,8 @@ Result<int> VersionedStore::Update(
                                             std::memory_order_relaxed);
   }
   NoteVersionCount(rec.versions.size());
-  RefreshSlot(shard, hash, key, &rec);
+  TrackDirty(shard, *it, copies_before, version, floor);
+  RefreshSlot(shard, hash, key, &rec, floor);
   return applied;
 }
 
@@ -287,6 +346,9 @@ Status VersionedStore::UpdateExact(const std::string& key, Version version,
     it = shard.records.emplace(key, Record{}).first;
   }
   Record& rec = it->second;
+  const Version floor = floor_.load(std::memory_order_relaxed);
+  Settle(shard, *it, floor);
+  const size_t copies_before = rec.versions.size();
 
   // NC3V step 4: abort if the item already exists in a newer version (a
   // concurrent transaction of a later version has touched it; serializing
@@ -318,7 +380,8 @@ Status VersionedStore::UpdateExact(const std::string& key, Version version,
   op.ApplyTo(rec.versions[idx].second);
   if (after_image != nullptr) *after_image = rec.versions[idx].second;
   NoteVersionCount(rec.versions.size());
-  RefreshSlot(shard, hash, key, &rec);
+  TrackDirty(shard, *it, copies_before, version, floor);
+  RefreshSlot(shard, hash, key, &rec, floor);
   return Status::Ok();
 }
 
@@ -329,25 +392,50 @@ void VersionedStore::Undo(const UndoEntry& undo) {
   auto it = shard.records.find(HashedKey{undo.key, hash});
   if (it == shard.records.end()) return;
   Record& rec = it->second;
+  const Version floor = floor_.load(std::memory_order_relaxed);
+  Settle(shard, *it, floor);
   int idx = rec.FindExact(undo.version);
   if (idx < 0) return;
   if (undo.created) {
     rec.versions.erase(rec.versions.begin() + idx);
     if (rec.versions.empty()) {
+      std::erase(shard.dirty, &*it);
       shard.records.erase(it);
-      RefreshSlot(shard, hash, undo.key, nullptr);
+      RefreshSlot(shard, hash, undo.key, nullptr, floor);
       return;
     }
   } else {
     rec.versions[idx].second = undo.prior;
   }
-  RefreshSlot(shard, hash, undo.key, &rec);
+  // A record left with one copy stays listed until the next GC, which
+  // keeps its label exact in the meantime.
+  RefreshSlot(shard, hash, undo.key, &rec, floor);
 }
 
 void VersionedStore::GarbageCollect(Version vr_new) {
+  // Raise the floor first: that relabels every unlisted record at once, so
+  // a writer racing this GC in a shard not yet visited already sees the
+  // relabelled copy, as it would after an eager pass over that shard.
+  Version floor = floor_.load(std::memory_order_relaxed);
+  while (vr_new > floor && !floor_.compare_exchange_weak(
+                               floor, vr_new, std::memory_order_relaxed)) {
+  }
+  floor = std::max(floor, vr_new);
+
+  int64_t visited = 0;
   for (auto& shard : shards_) {
     SharedMutexLock lock(shard.mu);
-    for (auto& [key, rec] : shard.records) {
+    auto& dirty = shard.dirty;
+    if (dirty.empty()) continue;
+    std::sort(dirty.begin(), dirty.end());
+    dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+    visited += static_cast<int64_t>(dirty.size());
+    bool below_floor = false;
+    size_t kept = 0;
+    for (Entry* e : dirty) {
+      Record& rec = e->second;
+      const size_t copies = rec.versions.size();
+      const Version oldest = rec.versions.front().first;
       if (rec.FindExact(vr_new) >= 0) {
         // Drop every version older than vr_new.
         rec.versions.erase(
@@ -364,10 +452,23 @@ void VersionedStore::GarbageCollect(Version vr_new) {
                              rec.versions.begin() + idx);
         }
       }
-      // Records usually collapse back to a single version here; republish
-      // so the advancement re-warms the lock-free read cache.
-      RefreshSlot(shard, HashKey(key), key, &rec);
+      if (rec.versions.size() != copies ||
+          rec.versions.front().first != oldest) {
+        RefreshSlot(shard, HashKey(e->first), e->first, &rec, floor);
+      }
+      // A single copy at or above the floor reads the same listed or not.
+      const bool low = rec.versions.front().first < floor;
+      if (rec.versions.size() > 1 || low) {
+        dirty[kept++] = e;
+        below_floor = below_floor || low;
+      }
     }
+    dirty.resize(kept);
+    shard.below_floor = below_floor;
+  }
+  if (metrics_ != nullptr) {
+    metrics_->gc_records_visited.fetch_add(visited,
+                                           std::memory_order_relaxed);
   }
 }
 
@@ -383,6 +484,7 @@ std::vector<Version> VersionedStore::VersionsOf(const std::string& key) const {
   auto it = shard.records.find(HashedKey{key, hash});
   if (it != shard.records.end()) {
     for (const auto& [v, value] : it->second.versions) out.push_back(v);
+    out[0] = OldestLabel(shard, *it, floor_.load(std::memory_order_relaxed));
   }
   return out;
 }
@@ -395,7 +497,11 @@ std::map<Version, Value> VersionedStore::DumpItem(
   std::map<Version, Value> out;
   auto it = shard.records.find(HashedKey{key, hash});
   if (it != shard.records.end()) {
-    for (const auto& [v, value] : it->second.versions) out[v] = value;
+    const Version oldest =
+        OldestLabel(shard, *it, floor_.load(std::memory_order_relaxed));
+    for (const auto& [v, value] : it->second.versions) {
+      out[std::max(v, oldest)] = value;
+    }
   }
   return out;
 }
@@ -403,11 +509,13 @@ std::map<Version, Value> VersionedStore::DumpItem(
 std::vector<std::tuple<std::string, Version, Value>> VersionedStore::DumpAll()
     const {
   std::vector<std::tuple<std::string, Version, Value>> out;
+  const Version floor = floor_.load(std::memory_order_relaxed);
   for (const auto& shard : shards_) {
     ReaderMutexLock lock(shard.mu);
-    for (const auto& [key, rec] : shard.records) {
-      for (const auto& [v, value] : rec.versions) {
-        out.emplace_back(key, v, value);
+    for (const auto& e : shard.records) {
+      const Version oldest = OldestLabel(shard, e, floor);
+      for (const auto& [v, value] : e.second.versions) {
+        out.emplace_back(e.first, std::max(v, oldest), value);
       }
     }
   }

@@ -43,6 +43,14 @@ struct UndoEntry {
 //    exists, creates k(v) if needed, applies only to k(v).
 //  * GarbageCollect(vr_new): for every item, if k(vr_new) exists drop all
 //    earlier versions, else relabel the latest earlier version as vr_new.
+//    The cost is the number of items written since the last GC, not the
+//    number stored: each shard keeps a dirty list of the records holding
+//    more than one copy or a copy written below the floor, and GC applies
+//    the rule to those only. The store keeps `floor_`, the highest vr_new
+//    collected so far; an unlisted single-copy record keeps its old label
+//    and reads with the effective label max(label, floor_), which is
+//    exactly what relabelling it would have written. A stale or repeated
+//    GC leaves the floor where it is.
 //
 // Concurrency model (DESIGN.md section 11): reads against the frozen `vr`
 // never take an exclusive lock. Each shard carries a reader/writer lock
@@ -110,7 +118,8 @@ class VersionedStore {
   // Reverts one UpdateExact.
   void Undo(const UndoEntry& undo);
 
-  // Phase-4 garbage collection (Section 4.3).
+  // Phase-4 garbage collection (Section 4.3). Visits only the dirty-listed
+  // records; counts them into Metrics::gc_records_visited.
   void GarbageCollect(Version vr_new);
 
   // --- Introspection (tests, invariant auditing, Figure 2 replay) --------
@@ -208,6 +217,9 @@ class VersionedStore {
     }
   };
   using RecordMap = std::unordered_map<std::string, Record, KeyHash, KeyEq>;
+  // A map node. Its address survives rehashing, so the dirty list can point
+  // at it instead of copying the key.
+  using Entry = RecordMap::value_type;
 
   // Lock-free read cache: one direct-mapped seqlock slot per hash bucket.
   // A slot holds a validated snapshot of a record in the steady state the
@@ -236,6 +248,14 @@ class VersionedStore {
   struct Shard {
     mutable SharedMutex mu;
     RecordMap records GUARDED_BY(mu);
+    // Records the next GC must visit: each record holding more than one
+    // copy, and each record written below the floor. Erasing a record
+    // removes it here; a record may appear twice, which GC folds.
+    std::vector<Entry*> dirty GUARDED_BY(mu);
+    // Set by a write below the floor, recomputed by each GC. While clear,
+    // no single-copy record below the floor is listed, so OldestLabel need
+    // not search `dirty`.
+    bool below_floor GUARDED_BY(mu) = false;
     // Written only by exclusive holders of `mu`; read lock-free by the
     // seqlock fast path (TryReadFast, the documented analysis opt-out).
     FastSlot slots[kSlotsPerShard] GUARDED_BY(mu);
@@ -250,14 +270,33 @@ class VersionedStore {
 
   // Republishes or invalidates the fast slot for `key` after a record
   // mutation. Must run inside the same exclusive section as the mutation
-  // so slot state never lags a released write.
+  // so slot state never lags a released write. A copy labelled below
+  // `floor` is never published: the fast path reads every slot's label as
+  // at least the floor.
   void RefreshSlot(Shard& shard, size_t hash, std::string_view key,
-                   const Record* rec) REQUIRES(shard.mu);
+                   const Record* rec, Version floor) REQUIRES(shard.mu);
 
   // Seqlock fast path: returns true and fills `*out` iff the slot holds a
   // validated snapshot for `key` usable at `max_version`.
   bool TryReadFast(const Shard& shard, size_t hash, std::string_view key,
                    Version max_version, Value* out) const;
+
+  // Effective label of the oldest copy of `e`: the stored label, except
+  // that an unlisted single-copy record reads as at least `floor` (the
+  // relabel GC skipped). Listed records carry exact labels.
+  static Version OldestLabel(const Shard& shard, const Entry& e, Version floor)
+      REQUIRES_SHARED(shard.mu);
+  // Index of the newest copy of `e` visible at `max_version`, or -1.
+  static int FindVisible(const Shard& shard, const Entry& e,
+                         Version max_version, Version floor)
+      REQUIRES_SHARED(shard.mu);
+  // Writes the effective label into a single-copy record, so a mutation
+  // sees exactly the copies an eager GC would have left.
+  static void Settle(Shard& shard, Entry& e, Version floor) REQUIRES(shard.mu);
+  // Lists `e` for the next GC after a write at `version` if the write gave
+  // it its second copy or landed below the floor.
+  static void TrackDirty(Shard& shard, Entry& e, size_t copies_before,
+                         Version version, Version floor) REQUIRES(shard.mu);
 
   void NoteVersionCount(size_t n) {
     size_t cur = max_versions_observed_.load(std::memory_order_relaxed);
@@ -268,6 +307,8 @@ class VersionedStore {
 
   Metrics* metrics_;  // unowned, may be null
   Shard shards_[kNumShards];
+  // Highest vr_new collected so far; raised with max, never lowered.
+  std::atomic<Version> floor_{0};
   std::atomic<size_t> max_versions_observed_{0};
 };
 

@@ -65,6 +65,8 @@ std::string PrometheusText(const Metrics& m, const std::string& labels) {
   AppendCounter(&out, "advancements_completed",
                 m.advancements_completed.load(), labels);
   AppendCounter(&out, "quiescence_rounds", m.quiescence_rounds.load(), labels);
+  AppendCounter(&out, "gc_records_visited", m.gc_records_visited.load(),
+                labels);
   AppendCounter(&out, "lock_waits", m.lock_waits.load(), labels);
   AppendCounter(&out, "lock_wait_micros", m.lock_wait_micros.load(), labels);
   AppendCounter(&out, "version_gate_waits", m.version_gate_waits.load(),

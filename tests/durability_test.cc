@@ -334,6 +334,90 @@ TEST(RecoveryTest, ReplaySameLogTwiceYieldsIdenticalState) {
   EXPECT_EQ(s1.DumpAll(), s2.DumpAll());
 }
 
+// A checkpoint taken between two GCs, while some records hold a second
+// copy and others have sat untouched through several GCs, plus a WAL tail
+// that repeats one kGarbageCollect and carries a stale one: recovery must
+// rebuild exactly the live store, labels included.
+TEST(RecoveryTest, CheckpointBetweenGcsAndRepeatedGcTailMatchLiveStore) {
+  const std::string dir = TestDir("recovery_lazy_gc");
+  VersionedStore live;
+  for (int i = 0; i < 40; ++i) {
+    Value v;
+    v.num = i;
+    live.Seed("k" + std::to_string(i), v, 0);
+  }
+  // Round r writes keys r..r+2 at version r + 1 (a second copy on each),
+  // then collects version r. Keys 9 and up are never written.
+  auto write_round = [&live](Version r, WriteAheadLog* wal) {
+    for (int i = 0; i < 3; ++i) {
+      const std::string key = "k" + std::to_string(r + i);
+      std::vector<std::pair<Version, Value>> images;
+      ASSERT_TRUE(live.Update(key, r + 1, OpAdd(key, 10), &images).ok());
+      if (wal == nullptr) continue;
+      WalRecord rec;
+      rec.type = WalRecordType::kUpdate;
+      rec.version = r + 1;
+      for (auto& [v, value] : images) {
+        rec.images.push_back(WalImage{key, v, std::move(value)});
+      }
+      ASSERT_TRUE(wal->Append(rec).ok());
+    }
+  };
+  auto collect = [&live](Version vr_new, WriteAheadLog* wal) {
+    live.GarbageCollect(vr_new);
+    WalRecord rec;
+    rec.type = WalRecordType::kGarbageCollect;
+    rec.version = vr_new;
+    ASSERT_TRUE(wal->Append(rec).ok());
+  };
+
+  WalOptions opts;
+  opts.dir = dir;
+  auto wal = WriteAheadLog::Open(opts);
+  ASSERT_TRUE(wal.ok());
+  for (Version r = 1; r <= 3; ++r) {
+    write_round(r, nullptr);
+    live.GarbageCollect(r);
+  }
+  write_round(4, nullptr);  // checkpointed with second copies at version 5
+
+  CheckpointData ck;
+  ck.vu = 5;
+  ck.vr = 3;
+  ck.wal_segment = (*wal)->current_segment();
+  for (auto& [key, version, value] : live.DumpAll()) {
+    ck.store.push_back(WalImage{key, version, value});
+  }
+  ASSERT_TRUE(WriteCheckpointFile(dir, ck).ok());
+
+  collect(4, wal->get());
+  write_round(5, wal->get());
+  collect(5, wal->get());
+  collect(5, wal->get());  // retransmitted
+  collect(3, wal->get());  // stale
+  write_round(6, wal->get());
+  wal->reset();
+
+  VersionedStore recovered;
+  CounterTable counters(1);
+  auto state = RecoverNodeState(dir, &recovered, &counters);
+  ASSERT_TRUE(state.ok()) << state.status().ToString();
+  EXPECT_EQ(state->checkpoint_images, ck.store.size());
+  EXPECT_EQ(recovered.DumpAll(), live.DumpAll());
+  EXPECT_EQ(recovered.VersionsOf("k30"), (std::vector<Version>{5}));
+  for (int i = 0; i < 40; ++i) {
+    const std::string key = "k" + std::to_string(i);
+    for (Version v = 0; v <= 8; ++v) {
+      Result<Value> want = live.Read(key, v);
+      Result<Value> got = recovered.Read(key, v);
+      ASSERT_EQ(got.ok(), want.ok()) << key << " v" << v;
+      if (got.ok()) {
+        EXPECT_EQ(*got, *want) << key << " v" << v;
+      }
+    }
+  }
+}
+
 TEST(RecoveryTest, EmptyDirRecoversToInitialState) {
   const std::string dir = TestDir("recovery_empty");
   VersionedStore store;

@@ -8,7 +8,13 @@ shape and sanity, NOT performance: thresholds would flake on shared runners.
 
 Usage:
   tools/check_bench_json.py FILE [FILE...]          validate files (exit 1 on findings)
+  tools/check_bench_json.py --compare OLD NEW       print new/old ratios per row
   tools/check_bench_json.py --self-test             run the seeded-violation tests
+
+--compare validates both files, then prints, for every row name, the ratio
+new/old of throughput, p50 and p99 (throughput above 1 and latency below 1
+are better). It is information, not a gate: it exits 0 whatever the ratios
+are, and non-zero only when a file is unreadable or fails the schema.
 """
 
 import argparse
@@ -101,6 +107,54 @@ def check_file(path):
     return errors
 
 
+def ratio(new, old):
+    return new / old if old else None
+
+
+def compare_docs(old, new):
+    """Rows as (name, throughput, p50, p99) new/old ratios, each None when
+    the old value is 0; a row present on one side only has all three None
+    and the name suffixed with ` (new)` or ` (gone)`."""
+    old_rows = {r["name"]: r for r in old["results"]}
+    new_rows = {r["name"]: r for r in new["results"]}
+    rows = []
+    for name, n in new_rows.items():
+        o = old_rows.get(name)
+        if o is None:
+            rows.append((name + " (new)", None, None, None))
+            continue
+        rows.append((name, ratio(n["throughput_ops"], o["throughput_ops"]),
+                     ratio(n["p50_ns"], o["p50_ns"]),
+                     ratio(n["p99_ns"], o["p99_ns"])))
+    for name in old_rows:
+        if name not in new_rows:
+            rows.append((name + " (gone)", None, None, None))
+    return rows
+
+
+def format_comparison(rows):
+    def cell(x):
+        return "     -" if x is None else f"{x:6.2f}"
+    lines = [f"{'row':<34} {'thr':>6} {'p50':>6} {'p99':>6}   (new/old)"]
+    for name, thr, p50, p99 in rows:
+        lines.append(f"{name:<34} {cell(thr)} {cell(p50)} {cell(p99)}")
+    return "\n".join(lines)
+
+
+def compare_files(old_path, new_path):
+    docs = []
+    for path in (old_path, new_path):
+        errors = check_file(path)
+        if errors:
+            for e in errors:
+                print(e)
+            return 1
+        with open(path, encoding="utf-8") as f:
+            docs.append(json.load(f))
+    print(format_comparison(compare_docs(*docs)))
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # Self-test
 # ---------------------------------------------------------------------------
@@ -163,6 +217,30 @@ def self_test():
     doc["results"] = []
     expect("empty results", doc, True)
 
+    # --compare: seeded rows with known ratios, a row added, a row removed,
+    # and an old latency of 0 that has no ratio.
+    old = _valid_doc()
+    old["results"].append({
+        "name": "store_gc", "threads": 1, "ops": 100, "elapsed_ns": 10**9,
+        "throughput_ops": 100.0, "p50_ns": 0, "p99_ns": 400,
+        "messages": 0, "bytes": 0})
+    old["results"].append(dict(old["results"][1], name="dropped_row"))
+    new = _valid_doc()
+    new["results"][0].update(elapsed_ns=25000, throughput_ops=4e7,
+                             p50_ns=20, p99_ns=120)
+    new["results"].append(dict(old["results"][1], p50_ns=8, p99_ns=100))
+    new["results"].append(dict(old["results"][1], name="added_row"))
+    got = compare_docs(old, new)
+    want = [("store_read_hot", 2.0, 0.5, 1.0),
+            ("store_gc", 1.0, None, 0.25),
+            ("added_row (new)", None, None, None),
+            ("dropped_row (gone)", None, None, None)]
+    if got != want:
+        failures.append(f"compare: expected {want}, got {got}")
+    table = format_comparison(got).splitlines()
+    if len(table) != 5 or "  2.00   0.50   1.00" not in table[1]:
+        failures.append(f"compare table malformed: {table}")
+
     if failures:
         print("check_bench_json self-test FAILED:", file=sys.stderr)
         for f in failures:
@@ -176,9 +254,12 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("files", nargs="*", help="JSON files to validate")
     parser.add_argument("--self-test", action="store_true")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"))
     args = parser.parse_args()
     if args.self_test:
         return self_test()
+    if args.compare:
+        return compare_files(*args.compare)
     if not args.files:
         parser.error("no files given")
     all_errors = []
