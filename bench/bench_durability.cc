@@ -1,13 +1,16 @@
 // Experiment B-DUR: cost of durability. (a) WAL append throughput under
-// each fsync policy - the per-update logging tax a node pays on the fast
-// path; (b) recovery time as a function of log size - what a restart costs
-// before the node can rejoin the protocol.
+// each fsync policy, committing after every record and after every third
+// record (the shape of a handler that logs R, kUpdate and R before it
+// sends) - the per-update logging tax a node pays on the fast path; (b)
+// recovery time as a function of log size - what a restart costs before
+// the node can rejoin the protocol.
 //
-// Expected shape: kNone appends are memcpy+fflush cheap (micros/record),
-// kEveryRecord is dominated by fsync latency (orders of magnitude slower),
-// kBatch sits at kNone for unforced records. Recovery replays at
-// sequential-read speed, so time grows linearly with log bytes; a
-// checkpoint cuts it to the post-checkpoint tail.
+// Expected shape: kNone costs one encode into the batch plus one write(2)
+// per commit (micros/record, less when a commit carries three records),
+// kEveryRecord is dominated by the fsync each commit pays (orders of
+// magnitude slower), kBatch sits at kNone for unforced records. Recovery
+// replays at sequential-read speed, so time grows linearly with log bytes;
+// a checkpoint cuts it to the post-checkpoint tail.
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -54,9 +57,9 @@ double MicrosSince(std::chrono::steady_clock::time_point t0) {
 }  // namespace
 
 int main() {
-  PrintHeader("B-DUR: WAL append throughput per fsync policy");
-  std::printf("%-14s %10s %12s %12s %10s\n", "policy", "records",
-              "us/record", "MB/s", "fsyncs");
+  PrintHeader("B-DUR: WAL append + commit throughput per fsync policy");
+  std::printf("%-14s %10s %10s %12s %12s %10s %10s\n", "policy", "per-commit",
+              "records", "us/record", "MB/s", "commits", "fsyncs");
   const struct {
     FsyncPolicy policy;
     const char* name;
@@ -67,26 +70,31 @@ int main() {
       {FsyncPolicy::kEveryRecord, "every-record", 500},
   };
   for (const auto& p : kPolicies) {
-    Metrics metrics;
-    WalOptions opts;
-    opts.dir = ScratchDir(std::string("wal_") + p.name);
-    opts.fsync = p.policy;
-    auto wal = WriteAheadLog::Open(opts, &metrics);
-    if (!wal.ok()) {
-      std::fprintf(stderr, "open failed: %s\n",
-                   wal.status().ToString().c_str());
-      return 1;
+    for (int per_commit : {1, 3}) {
+      Metrics metrics;
+      WalOptions opts;
+      opts.dir = ScratchDir(std::string("wal_") + p.name);
+      opts.fsync = p.policy;
+      auto wal = WriteAheadLog::Open(opts, &metrics);
+      if (!wal.ok()) {
+        std::fprintf(stderr, "open failed: %s\n",
+                     wal.status().ToString().c_str());
+        return 1;
+      }
+      auto t0 = std::chrono::steady_clock::now();
+      for (int i = 0; i < p.records; ++i) {
+        (void)(*wal)->Append(SampleRecord(i));
+        if ((i + 1) % per_commit == 0) (void)(*wal)->Commit();
+      }
+      (void)(*wal)->Commit();
+      double us = MicrosSince(t0);
+      double mbps = static_cast<double>((*wal)->bytes_appended()) / us;
+      std::printf("%-14s %10d %10d %12.2f %12.1f %10lld %10lld\n", p.name,
+                  per_commit, p.records, us / p.records, mbps,
+                  static_cast<long long>(metrics.wal_commits.load()),
+                  static_cast<long long>(metrics.wal_fsyncs.load()));
+      fs::remove_all(opts.dir);
     }
-    auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < p.records; ++i) {
-      (void)(*wal)->Append(SampleRecord(i));
-    }
-    double us = MicrosSince(t0);
-    double mbps = static_cast<double>((*wal)->bytes_appended()) / us;
-    std::printf("%-14s %10d %12.2f %12.1f %10lld\n", p.name, p.records,
-                us / p.records, mbps,
-                static_cast<long long>(metrics.wal_fsyncs.load()));
-    fs::remove_all(opts.dir);
   }
 
   PrintHeader("B-DUR: recovery time vs log size");

@@ -1,10 +1,10 @@
 // Hot-path microbenchmarks with machine-readable output: the per-PR perf
 // trajectory for the versioned-store read path and garbage collection, the
-// wire codec, and the mailbox drain. Unlike the google-benchmark targets
-// (bench_micro), this harness emits BENCH_hotpath.json (schema checked by
-// tools/check_bench_json.py) so CI can archive per-run numbers and future
-// PRs can diff against the committed baseline
-// (bench/BENCH_hotpath.baseline.json = pre-optimization seed code,
+// wire codec, WAL group commit, and the mailbox drain. Unlike the
+// google-benchmark targets (bench_micro), this harness emits
+// BENCH_hotpath.json (schema checked by tools/check_bench_json.py) so CI can
+// archive per-run numbers and future PRs can diff against the committed
+// baseline (bench/BENCH_hotpath.baseline.json = pre-optimization seed code,
 // bench/BENCH_hotpath.json = current tree).
 //
 // Usage: bench_hotpath [--quick] [--out FILE]
@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
+#include <filesystem>
 #include <functional>
 #include <string>
 #include <thread>
@@ -22,6 +23,7 @@
 #include "bench_util.h"
 #include "threev/common/queue.h"
 #include "threev/common/random.h"
+#include "threev/durability/wal.h"
 #include "threev/metrics/histogram.h"
 #include "threev/net/wire.h"
 #include "threev/storage/versioned_store.h"
@@ -374,6 +376,53 @@ HotpathResult BenchWireDecode(int64_t batches) {
   return r;
 }
 
+// --- WAL group commit -------------------------------------------------------
+
+// The handler shape under group commit: stage the three records a root logs
+// before its child request leaves (R counter, kUpdate, R counter), then hand
+// them to the OS with one write(2). FsyncPolicy::kNone, as perfbench's
+// record_wal runs. One op = 3 stages + 1 commit; latency is per op.
+HotpathResult BenchWalStageCommit(int64_t batches) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() / "threev_bench_hotpath_wal";
+  fs::remove_all(dir);
+  WalOptions opts;
+  opts.dir = dir.string();
+  auto wal = WriteAheadLog::Open(opts);
+  if (!wal.ok()) std::abort();
+  WalRecord counter;
+  counter.type = WalRecordType::kCounter;
+  counter.version = 7;
+  counter.flag = true;
+  counter.peer = 1;
+  WalRecord update;
+  update.type = WalRecordType::kUpdate;
+  update.version = 7;
+  update.txn = 123456789;
+  Value value;
+  value.num = 1000;
+  update.images.push_back(WalImage{"bal/entity7@3", 7, value});
+  Histogram lat;
+  auto body = [&](size_t) {
+    for (int64_t b = 0; b < batches; ++b) {
+      Clock::time_point t0 = Clock::now();
+      for (int i = 0; i < kBatch; ++i) {
+        if (!(*wal)->Append(counter).ok() || !(*wal)->Append(update).ok() ||
+            !(*wal)->Append(counter).ok() || !(*wal)->Commit().ok()) {
+          std::abort();
+        }
+      }
+      lat.Record(ElapsedNs(t0) / kBatch);
+    }
+  };
+  HotpathResult r = RunThreads("wal_stage_commit", 1, batches, lat, body);
+  r.bytes = static_cast<int64_t>((*wal)->bytes_appended());
+  wal->reset();
+  fs::remove_all(dir);
+  return r;
+}
+
 // --- mailbox drain ----------------------------------------------------------
 
 // `producers` threads pushing, one consumer draining: the ThreadNet mailbox
@@ -486,7 +535,8 @@ int Main(int argc, char** argv) {
   if (tracer.enabled()) tracer.SetTrackName(0, "bench_hotpath");
 
   PrintHeader(
-      "hot-path microbenchmarks (store read / GC / wire codec / queue)");
+      "hot-path microbenchmarks (store read / GC / wire codec / WAL / "
+      "queue)");
   std::vector<HotpathResult> results;
   auto run = [&](const std::function<HotpathResult()>& fn) {
     TraceContext span;
@@ -509,6 +559,7 @@ int Main(int argc, char** argv) {
   run([&] { return BenchWireEncode(scale / 4); });
   run([&] { return BenchWireEncodePooled(scale / 4); });
   run([&] { return BenchWireDecode(scale / 4); });
+  run([&] { return BenchWalStageCommit(scale / 40); });
   run([&] { return BenchQueueDrain(3, scale); });
   run([&] { return BenchQueueDrainPopAll(3, scale); });
 

@@ -117,7 +117,7 @@ void Node::RecoverFromLog() {
       m.from = options_.id;
       m.txn = txn;
       m.flag = commit;
-      network_->Send(p, std::move(m));
+      Send(p, std::move(m));
     }
   }
   // The broadcast alone is not enough: a single dropped kDecision here
@@ -129,8 +129,7 @@ void Node::RecoverFromLog() {
 
 void Node::ArmRecoveryDecisionRetry() {
   if (options_.twopc_retry_interval <= 0) return;
-  network_->ScheduleAfter(options_.twopc_retry_interval, [this] {
-    if (halted_.load(std::memory_order_acquire)) return;
+  ScheduleAfter(options_.twopc_retry_interval, [this] {
     std::vector<std::pair<NodeId, Message>> resend;
     {
       MutexLock lock(mu_);
@@ -150,7 +149,7 @@ void Node::ArmRecoveryDecisionRetry() {
       metrics_->twopc_retransmits.fetch_add(
           static_cast<int64_t>(resend.size()), std::memory_order_relaxed);
     }
-    for (auto& [to, m] : resend) network_->Send(to, std::move(m));
+    for (auto& [to, m] : resend) Send(to, std::move(m));
     ArmRecoveryDecisionRetry();
   });
 }
@@ -159,10 +158,40 @@ void Node::LogRecord(const WalRecord& rec, bool force) {
   if (wal_ == nullptr) return;
   MutexLock lock(wal_mu_);
   Status s = wal_->Append(rec, force);
-  if (!s.ok()) {
-    THREEV_LOG(kWarn) << "node " << options_.id
-                      << ": wal append failed: " << s.ToString();
+  if (!s.ok()) HaltOnLogFailure(s);
+}
+
+bool Node::CommitLog() {
+  MutexLock lock(wal_mu_);
+  Status s = wal_->Commit();
+  if (!s.ok()) HaltOnLogFailure(s);
+  return s.ok();
+}
+
+void Node::HaltOnLogFailure(const Status& s) {
+  // Fail-stop: a node that cannot log must not externalize, so it stops as
+  // a killed node does. The failed log refuses every later commit, so no
+  // message can leave after this point; a restart recovers what was
+  // committed before it.
+  if (!halted_.exchange(true, std::memory_order_acq_rel)) {
+    THREEV_LOG(kError) << "node " << options_.id
+                       << ": wal commit failed, halting: " << s.ToString();
   }
+}
+
+void Node::Send(NodeId to, Message&& m) {
+  // Log before externalize: every frame staged so far - whichever thread
+  // staged it - reaches the OS before this message can.
+  if (wal_ != nullptr && !CommitLog()) return;
+  network_->Send(to, std::move(m));
+}
+
+void Node::ScheduleAfter(Micros delay, std::function<void()> fn) {
+  network_->ScheduleAfter(delay, [this, fn = std::move(fn)] {
+    if (halted_.load(std::memory_order_acquire)) return;
+    fn();
+    if (wal_ != nullptr) CommitLog();
+  });
 }
 
 void Node::LogCounter(Version v, bool is_r, NodeId peer) {
@@ -243,8 +272,7 @@ Status Node::WriteCheckpoint() {
 
 void Node::ArmTwopcRetry(TxnId txn) {
   if (options_.twopc_retry_interval <= 0) return;
-  network_->ScheduleAfter(options_.twopc_retry_interval, [this, txn] {
-    if (halted_.load(std::memory_order_acquire)) return;
+  ScheduleAfter(options_.twopc_retry_interval, [this, txn] {
     std::vector<NodeId> targets;
     bool prepare = false;
     bool commit = true;
@@ -276,7 +304,7 @@ void Node::ArmTwopcRetry(TxnId txn) {
       m.txn = txn;
       m.flag = prepare ? false : commit;
       m.trace = twopc_trace;
-      network_->Send(p, std::move(m));
+      Send(p, std::move(m));
     }
     ArmTwopcRetry(txn);
   });
@@ -381,6 +409,10 @@ void Node::HandleMessage(const Message& msg) {
       THREEV_LOG(kWarn) << "node " << options_.id << ": unexpected "
                         << msg.ToString();
   }
+  // A handler that logged without sending leaves its frames staged; commit
+  // them, so the log on disk between events is what it would be with one
+  // write per record.
+  if (wal_ != nullptr) CommitLog();
 }
 
 // ---------------------------------------------------------------------------
@@ -400,7 +432,7 @@ void Node::OnClientSubmit(const Message& msg) {
     m.status_msg = "plan rooted at node " + std::to_string(msg.plan.node) +
                    " submitted to node " + std::to_string(options_.id);
     m.trace = msg.trace;
-    network_->Send(msg.from, std::move(m));
+    Send(msg.from, std::move(m));
     return;
   }
   auto ctx = std::make_shared<ExecContext>();
@@ -572,8 +604,7 @@ void Node::ProceedNonCommuting(ExecPtr ctx) {
 
 void Node::ArmLockTimeout(ExecPtr ctx) {
   ExecPtr c = std::move(ctx);
-  network_->ScheduleAfter(options_.nc_lock_timeout, [this, c] {
-    if (halted_.load(std::memory_order_acquire)) return;
+  ScheduleAfter(options_.nc_lock_timeout, [this, c] {
     {
       MutexLock lock(mu_);
       if (c->lock_done) return;
@@ -838,7 +869,7 @@ SubtxnId Node::SpawnChild(const ExecPtr& ctx, const SubtxnPlan& child,
   // Child requests carry this subtransaction's span so the remote
   // kSubtxn span parents under it.
   m.trace = ctx->trace;
-  network_->Send(child.node, std::move(m));
+  Send(child.node, std::move(m));
   return sid;
 }
 
@@ -945,7 +976,7 @@ void Node::CompleteSubtxn(PendingSubtxn rec) {
   m.participants.assign(rec.participants.begin(), rec.participants.end());
   m.status_code = rec.status.code();
   m.status_msg = rec.status.message();
-  network_->Send(rec.source, std::move(m));
+  Send(rec.source, std::move(m));
 }
 
 void Node::ResolveRoot(PendingSubtxn rec) {
@@ -959,7 +990,7 @@ void Node::ResolveRoot(PendingSubtxn rec) {
         m.from = options_.id;
         m.txn = rec.txn;
         m.trace = rec.trace;
-        network_->Send(p, std::move(m));
+        Send(p, std::move(m));
       }
     }
     FinishRoot(rec, rec.status);
@@ -1008,7 +1039,7 @@ void Node::ResolveRoot(PendingSubtxn rec) {
     m.txn = txn;
     m.flag = false;  // only meaningful for kDecision: abort
     m.trace = twopc_trace;
-    network_->Send(p, std::move(m));
+    Send(p, std::move(m));
   }
   ArmTwopcRetry(txn);
 }
@@ -1055,7 +1086,7 @@ void Node::FinishRoot(PendingSubtxn& rec, Status status) {
   m.status_code = status.code();
   m.status_msg = status.message();
   m.trace = rec.trace;
-  network_->Send(rec.client, std::move(m));
+  Send(rec.client, std::move(m));
 }
 
 // ---------------------------------------------------------------------------
@@ -1093,7 +1124,7 @@ void Node::OnPrepare(const Message& msg) {
   m.txn = msg.txn;
   m.flag = vote;
   m.trace = msg.trace;
-  network_->Send(msg.from, std::move(m));
+  Send(msg.from, std::move(m));
 }
 
 void Node::OnVote(const Message& msg) {
@@ -1135,7 +1166,7 @@ void Node::OnVote(const Message& msg) {
     m.txn = msg.txn;
     m.flag = commit;
     m.trace = twopc_trace;
-    network_->Send(p, std::move(m));
+    Send(p, std::move(m));
   }
 }
 
@@ -1181,7 +1212,7 @@ void Node::OnDecision(const Message& msg) {
   m.txn = msg.txn;
   m.flag = msg.flag;
   m.trace = msg.trace;
-  network_->Send(msg.from, std::move(m));
+  Send(msg.from, std::move(m));
 }
 
 void Node::OnDecisionAck(const Message& msg) {
@@ -1255,7 +1286,7 @@ void Node::OnStartAdvancement(const Message& msg) {
   m.version = msg.version;
   m.seq = msg.seq;
   m.trace = msg.trace;
-  network_->Send(msg.from, std::move(m));
+  Send(msg.from, std::move(m));
 }
 
 void Node::OnCounterRead(const Message& msg) {
@@ -1271,7 +1302,7 @@ void Node::OnCounterRead(const Message& msg) {
     m.counters_c = counters_.SnapshotC(msg.version);
   }
   m.trace = msg.trace;
-  network_->Send(msg.from, std::move(m));
+  Send(msg.from, std::move(m));
 }
 
 void Node::OnReadVersionAdvance(const Message& msg) {
@@ -1297,7 +1328,7 @@ void Node::OnReadVersionAdvance(const Message& msg) {
   m.version = msg.version;
   m.seq = msg.seq;
   m.trace = msg.trace;
-  network_->Send(msg.from, std::move(m));
+  Send(msg.from, std::move(m));
   WakeVersionGateWaiters();
 }
 
@@ -1342,7 +1373,7 @@ void Node::OnGarbageCollect(const Message& msg) {
   m.version = msg.version;
   m.seq = msg.seq;
   m.trace = msg.trace;
-  network_->Send(msg.from, std::move(m));
+  Send(msg.from, std::move(m));
 }
 
 // ---------------------------------------------------------------------------
@@ -1401,7 +1432,7 @@ void Node::OnAdminInspect(const Message& msg) {
   InspectPutNum(&m, "counters_version", counter_version);
   m.counters_r = counters_.SnapshotR(counter_version);
   m.counters_c = counters_.SnapshotC(counter_version);
-  network_->Send(msg.from, std::move(m));
+  Send(msg.from, std::move(m));
 }
 
 }  // namespace threev

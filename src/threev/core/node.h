@@ -113,6 +113,11 @@ struct NodeOptions {
 // after execution; only the *accounting* is hierarchical, so user
 // transactions are still never delayed.)
 //
+// Durability (DESIGN.md section 9): redo records are staged in the WAL's
+// batch and committed with one write just before the next message leaves
+// (every send goes through Node::Send) and at the end of every handler and
+// timer callback, so between events the log holds every record.
+//
 // Thread safety: HandleMessage may be called from any thread; internal
 // state is guarded by one node mutex, the store / counters / lock table by
 // their own. The node mutex is never held across a Send or a lock-manager
@@ -285,9 +290,14 @@ class Node {
   // network thread, so it touches guarded members lock-free by construction
   // - the one deliberate analysis opt-out in this class.
   void RecoverFromLog() NO_THREAD_SAFETY_ANALYSIS;
-  // Appends one redo record (no-op when durability is off).
+  // Stages one redo record (no-op when durability is off); `force` commits
+  // it at once. A failed log halts the node.
   void LogRecord(const WalRecord& rec, bool force = false)
       EXCLUDES(wal_mu_);
+  // Commits the staged frames; on failure halts the node and returns false.
+  // Requires durability on.
+  bool CommitLog() EXCLUDES(wal_mu_);
+  void HaltOnLogFailure(const Status& s);
   // Counter-delta record for IncR/IncC (the only non-idempotent records).
   void LogCounter(Version v, bool is_r, NodeId peer) EXCLUDES(wal_mu_);
   // Reserves a block of id sequence numbers ahead of use (kSeqReserve).
@@ -298,6 +308,15 @@ class Node {
   // decisions are retried until every node acked (a fire-once broadcast
   // plus one lost message would wedge a prepared participant forever).
   void ArmRecoveryDecisionRetry() EXCLUDES(mu_);
+
+  // --- externalization ---
+  // The only way a message leaves this node (tools/threev_lint.py enforces
+  // it): commits the staged WAL frames first, and drops the message if the
+  // commit failed, since the node has then halted.
+  void Send(NodeId to, Message&& m) EXCLUDES(wal_mu_);
+  // Node-owned timer: skipped once the node halted; like HandleMessage, it
+  // commits what its callback logged.
+  void ScheduleAfter(Micros delay, std::function<void()> fn);
 
   // --- helpers ---
   // `trace` attributes the switch instant to whoever caused it (the
@@ -320,10 +339,11 @@ class Node {
   CounterTable counters_;
   LockManager locks_;
 
-  // Guards WAL appends (lock order: mu_ may be held when taking wal_mu_,
-  // never the reverse). The wal_ pointer itself is set once during
-  // construction and never reassigned, so only the pointed-to log - whose
-  // appends wal_mu_ serializes - needs a capability.
+  // Guards WAL staging and commits (lock order: mu_ may be held when taking
+  // wal_mu_, never the reverse); a commit from the handler or the timer
+  // thread covers the frames either staged. The wal_ pointer itself is set
+  // once during construction and never reassigned, so only the pointed-to
+  // log needs a capability.
   Mutex wal_mu_;
   std::unique_ptr<WriteAheadLog> wal_ PT_GUARDED_BY(wal_mu_);
   std::atomic<bool> halted_{false};

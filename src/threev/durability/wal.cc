@@ -1,5 +1,6 @@
 #include "threev/durability/wal.h"
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -77,10 +78,24 @@ Value DecodeWalValue(WireReader& r) {
   return v;
 }
 
-}  // namespace
+size_t WalValueSize(const Value& v) {
+  return 8 + 4 + 8 * v.ids.size() + 4 + v.str.size();
+}
 
-std::vector<uint8_t> EncodeWalRecord(const WalRecord& rec) {
-  WireWriter w;
+// Exact payload size of EncodeWalPayload's output: staging reserves it in
+// one step, so the batch buffer never doubles under a frame.
+size_t WalPayloadSize(const WalRecord& rec) {
+  size_t n = 1 + 4 + 1 + 4 + 8 + 8 + 1 + 4 + 4;
+  for (const auto& img : rec.images) {
+    n += 4 + img.key.size() + 4 + WalValueSize(img.value);
+  }
+  for (const auto& u : rec.undo) {
+    n += 4 + u.key.size() + 4 + 1 + WalValueSize(u.prior);
+  }
+  return n;
+}
+
+void EncodeWalPayload(WireWriter& w, const WalRecord& rec) {
   w.U8(static_cast<uint8_t>(rec.type));
   w.U32(rec.version);
   w.Bool(rec.flag);
@@ -101,6 +116,14 @@ std::vector<uint8_t> EncodeWalRecord(const WalRecord& rec) {
     w.Bool(u.created);
     EncodeWalValue(w, u.prior);
   }
+}
+
+}  // namespace
+
+std::vector<uint8_t> EncodeWalRecord(const WalRecord& rec) {
+  WireWriter w;
+  w.Reserve(WalPayloadSize(rec));
+  EncodeWalPayload(w, rec);
   return w.Take();
 }
 
@@ -181,27 +204,28 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
 }
 
 WriteAheadLog::~WriteAheadLog() {
-  if (file_ != nullptr) std::fclose(file_);
+  (void)Commit();
+  if (fd_ >= 0) ::close(fd_);
 }
 
 Status WriteAheadLog::OpenSegment(uint64_t seg) {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
+  if (fd_ >= 0) {
+    ::close(fd_);
+    fd_ = -1;
   }
   const std::string path = SegmentPath(options_.dir, seg);
-  file_ = std::fopen(path.c_str(), "ab");
-  if (file_ == nullptr) {
+  fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
+  if (fd_ < 0) {
     return Status::IoError("open " + path + ": " + std::strerror(errno));
   }
   segment_ = seg;
-  long pos = std::ftell(file_);
-  segment_size_ = pos > 0 ? static_cast<size_t>(pos) : 0;
+  off_t end = ::lseek(fd_, 0, SEEK_END);
+  segment_size_ = end > 0 ? static_cast<size_t>(end) : 0;
   return Status::Ok();
 }
 
 Status WriteAheadLog::SyncNow() {
-  if (::fsync(::fileno(file_)) != 0) {
+  if (::fsync(fd_) != 0) {
     return Status::IoError(std::string("fsync: ") + std::strerror(errno));
   }
   if (metrics_ != nullptr) {
@@ -218,26 +242,24 @@ Status WriteAheadLog::SyncNow() {
 }
 
 Status WriteAheadLog::Append(const WalRecord& rec, bool force) {
-  std::vector<uint8_t> payload = EncodeWalRecord(rec);
-  uint8_t header[8];
-  uint32_t len = static_cast<uint32_t>(payload.size());
-  uint32_t crc = WalCrc32(payload.data(), payload.size());
+  if (!failed_.ok()) return failed_;
+  // Frame [u32 len][u32 crc][payload], encoded in place at the batch's end;
+  // the header is filled in once the payload (and so its CRC) is there.
+  const size_t start = batch_.size();
+  {
+    WireWriter w(&batch_, start);
+    w.Reserve(8 + WalPayloadSize(rec));
+    w.U32(0);
+    w.U32(0);
+    EncodeWalPayload(w, rec);
+  }
+  const size_t frame = batch_.size() - start;
+  const uint32_t len = static_cast<uint32_t>(frame - 8);
+  const uint32_t crc = WalCrc32(batch_.data() + start + 8, len);
   for (int i = 0; i < 4; ++i) {
-    header[i] = static_cast<uint8_t>(len >> (8 * i));
-    header[4 + i] = static_cast<uint8_t>(crc >> (8 * i));
+    batch_[start + i] = static_cast<uint8_t>(len >> (8 * i));
+    batch_[start + 4 + i] = static_cast<uint8_t>(crc >> (8 * i));
   }
-  if (std::fwrite(header, 1, sizeof(header), file_) != sizeof(header) ||
-      std::fwrite(payload.data(), 1, payload.size(), file_) !=
-          payload.size()) {
-    return Status::IoError("wal append failed");
-  }
-  // Always push the frame to the OS: recovery reads through the filesystem,
-  // so a process crash (the common fault) never loses flushed frames. The
-  // fsync policy only governs power-loss durability.
-  if (std::fflush(file_) != 0) {
-    return Status::IoError(std::string("fflush: ") + std::strerror(errno));
-  }
-  size_t frame = sizeof(header) + payload.size();
   segment_size_ += frame;
   bytes_appended_ += frame;
   bytes_since_sync_ += frame;
@@ -247,10 +269,14 @@ Status WriteAheadLog::Append(const WalRecord& rec, bool force) {
                                   std::memory_order_relaxed);
     metrics_->wal_record_bytes.Record(static_cast<int64_t>(frame));
   }
-  if (options_.fsync == FsyncPolicy::kEveryRecord ||
-      (options_.fsync == FsyncPolicy::kBatch && force)) {
-    Status s = SyncNow();
+  if (force) {
+    Status s = Commit();
     if (!s.ok()) return s;
+    // kEveryRecord already synced inside Commit.
+    if (options_.fsync == FsyncPolicy::kBatch) {
+      s = SyncNow();
+      if (!s.ok()) return s;
+    }
   }
   if (segment_size_ >= options_.segment_bytes) {
     return RotateSegment();
@@ -258,9 +284,44 @@ Status WriteAheadLog::Append(const WalRecord& rec, bool force) {
   return Status::Ok();
 }
 
+Status WriteAheadLog::Commit() {
+  if (!failed_.ok()) return failed_;
+  if (batch_.empty()) return Status::Ok();
+  // Recovery reads through the filesystem, so once write(2) returns, a
+  // process crash (the common fault) can no longer lose these frames. The
+  // fsync policy only governs power loss.
+  const uint8_t* p = batch_.data();
+  size_t left = batch_.size();
+  while (left > 0) {
+    ssize_t n = ::write(fd_, p, left);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      // The kernel may have taken part of the batch, and replay stops at
+      // the torn frame it left, so nothing may be appended after it.
+      failed_ = Status::IoError(std::string("wal write: ") +
+                                std::strerror(errno));
+      batch_.clear();
+      if (metrics_ != nullptr) {
+        metrics_->wal_commit_failures.fetch_add(1, std::memory_order_relaxed);
+      }
+      return failed_;
+    }
+    p += n;
+    left -= static_cast<size_t>(n);
+  }
+  batch_.clear();
+  if (metrics_ != nullptr) {
+    metrics_->wal_commits.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (options_.fsync == FsyncPolicy::kEveryRecord) return SyncNow();
+  return Status::Ok();
+}
+
 Status WriteAheadLog::RotateSegment() {
+  Status s = Commit();
+  if (!s.ok()) return s;
   if (options_.fsync != FsyncPolicy::kNone && segment_size_ > 0) {
-    Status s = SyncNow();
+    s = SyncNow();
     if (!s.ok()) return s;
   }
   return OpenSegment(segment_ + 1);

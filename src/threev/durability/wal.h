@@ -2,7 +2,6 @@
 #define THREEV_DURABILITY_WAL_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <memory>
 #include <string>
@@ -89,11 +88,11 @@ Result<WalRecord> DecodeWalRecord(const uint8_t* data, size_t size);
 
 uint32_t WalCrc32(const uint8_t* data, size_t size);
 
-// When to force the OS to persist appended frames.
+// When to force the OS to persist committed frames.
 enum class FsyncPolicy : uint8_t {
-  kNone = 0,         // flush to the OS only (process-crash durable)
+  kNone = 0,         // hand commits to the OS only (process-crash durable)
   kBatch = 1,        // fsync at forced records (2PC) and rotation
-  kEveryRecord = 2,  // fsync after every append
+  kEveryRecord = 2,  // fsync after every commit
 };
 
 struct WalOptions {
@@ -108,8 +107,17 @@ struct WalOptions {
   std::function<Micros()> now;
 };
 
-// Append-only segmented redo log for one node. Not thread-safe: the owning
-// Node serializes appends under its own mutex.
+// Append-only segmented redo log for one node, with group commit.
+//
+// Append encodes a CRC frame into an in-memory batch; Commit hands the
+// whole batch to the OS with one write(2) on an O_APPEND descriptor. Staged
+// frames are invisible to ReadAll, and lost in a process crash, until they
+// are committed, so the owner must commit before it externalizes anything
+// that depends on them: Node commits before every message it sends and at
+// the end of every handler and timer callback (DESIGN.md section 9). A
+// failed write is fail-stop: the batch is dropped, and every later Append
+// or Commit returns the same error. Not thread-safe: the owning Node
+// serializes staging and commits under its own mutex.
 class WriteAheadLog {
  public:
   // Creates `options.dir` if needed and starts a segment after the highest
@@ -121,11 +129,18 @@ class WriteAheadLog {
   WriteAheadLog(const WriteAheadLog&) = delete;
   WriteAheadLog& operator=(const WriteAheadLog&) = delete;
 
-  // Appends one CRC-framed record; `force` requests an fsync under kBatch
-  // (2PC prepare/decision records must hit the platter before the message).
+  // Stages one CRC-framed record in the batch (no system call unless the
+  // segment fills and rotates). `force` commits the batch at once and, under
+  // kBatch, fsyncs it: 2PC prepare/decision records must hit the platter
+  // before the message that depends on them.
   Status Append(const WalRecord& rec, bool force = false);
 
-  // Closes the current segment and starts the next one (checkpoint entry).
+  // Writes every staged frame with one write(2), then fsyncs under
+  // kEveryRecord. No-op when nothing is staged.
+  Status Commit();
+
+  // Commits, then closes the current segment and starts the next one
+  // (checkpoint entry).
   Status RotateSegment();
 
   // Deletes segments with sequence < `seg` (the checkpoint covers them).
@@ -155,9 +170,11 @@ class WriteAheadLog {
 
   WalOptions options_;
   Metrics* metrics_;  // unowned, may be null
-  std::FILE* file_ = nullptr;
+  int fd_ = -1;
+  std::vector<uint8_t> batch_;  // staged frames, reused across commits
+  Status failed_;               // first write error; sticky
   uint64_t segment_ = 0;
-  size_t segment_size_ = 0;
+  size_t segment_size_ = 0;  // committed plus staged bytes
   uint64_t bytes_appended_ = 0;
   uint64_t bytes_since_sync_ = 0;  // kWalFsync instant arg
 };

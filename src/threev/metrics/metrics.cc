@@ -24,6 +24,8 @@ void Metrics::Reset() {
   wal_records = 0;
   wal_bytes = 0;
   wal_fsyncs = 0;
+  wal_commits = 0;
+  wal_commit_failures = 0;
   checkpoints_written = 0;
   checkpoint_bytes = 0;
   recoveries = 0;
@@ -62,6 +64,8 @@ void Metrics::MergeFrom(const Metrics& other) {
   wal_records += other.wal_records.load();
   wal_bytes += other.wal_bytes.load();
   wal_fsyncs += other.wal_fsyncs.load();
+  wal_commits += other.wal_commits.load();
+  wal_commit_failures += other.wal_commit_failures.load();
   checkpoints_written += other.checkpoints_written.load();
   checkpoint_bytes += other.checkpoint_bytes.load();
   recoveries += other.recoveries.load();
@@ -101,6 +105,8 @@ std::string Metrics::Report() const {
   os << "durability: wal_records=" << wal_records.load()
      << " wal_bytes=" << wal_bytes.load()
      << " fsyncs=" << wal_fsyncs.load()
+     << " commits=" << wal_commits.load()
+     << " commit_failures=" << wal_commit_failures.load()
      << " checkpoints=" << checkpoints_written.load()
      << " checkpoint_bytes=" << checkpoint_bytes.load()
      << " recoveries=" << recoveries.load()

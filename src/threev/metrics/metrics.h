@@ -77,6 +77,13 @@ struct Metrics {
   Histogram recovery_latency;   // wall-clock checkpoint+log replay time
   Histogram wal_record_bytes;   // framed size per appended redo record
 
+  // WAL group commits: one per write(2) of staged frames, and the writes
+  // that failed (each halts its node, fail-stop). Declared last so that the
+  // fields above, which every node thread bumps, keep their offsets and
+  // cache-line neighbours.
+  std::atomic<int64_t> wal_commits{0};
+  std::atomic<int64_t> wal_commit_failures{0};
+
   void Reset();
 
   // Adds another instance's counters and distributions into this one, for

@@ -29,7 +29,12 @@ class WireWriter {
   WireWriter() : buf_(&owned_) {}
   // Appends into `*buf` (cleared first), reusing its capacity. The caller
   // keeps ownership; Take() must not be used in this mode.
-  explicit WireWriter(std::vector<uint8_t>* buf) : buf_(buf) { buf_->clear(); }
+  explicit WireWriter(std::vector<uint8_t>* buf) : WireWriter(buf, 0) {}
+  // Appends into `*buf` after its first `keep` bytes, which stay as they are
+  // (the WAL stages many frames in one buffer this way).
+  WireWriter(std::vector<uint8_t>* buf, size_t keep) : buf_(buf), pos_(keep) {
+    buf_->resize(keep);
+  }
 
   ~WireWriter() {
     if (!taken_) Finish();

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -20,6 +21,7 @@
 #include "threev/common/wait_group.h"
 #include "threev/lock/lock_manager.h"
 #include "threev/metrics/histogram.h"
+#include "threev/metrics/metrics.h"
 #include "threev/storage/versioned_store.h"
 
 namespace threev {
@@ -295,9 +297,14 @@ TEST(ConcurrencyStressTest, VersionedStoreConcurrentReadWrite) {
 }
 
 // Hammers the lock-free fast-slot read path specifically: every key here is
-// slot-eligible (single version, short key, no ids, str <= 32 bytes), so
-// ReadInto serves from the seqlock slots while writers refresh them and a
-// GC thread re-warms every slot under the exclusive lock. Three invariants:
+// slot-eligible while it holds one copy (short key, no ids, str <= 32
+// bytes), so ReadInto serves from the seqlock slots while writers refresh
+// them and a GC thread collects the second copies the writers made. Versions
+// move as the protocol moves them: writers write at vu, readers read the
+// frozen vr, and the GC thread advances vu, waits until no writer is still
+// on the old vu, freezes it as vr, waits until no reader is still on the old
+// vr, then collects - so every GC drops copies and refreshes slots while
+// readers race it. Four invariants:
 //   1. num keys: monotone running sums, exact total at the end (lost update
 //      = shard locking bug).
 //   2. str keys: writers only ever store uniform-character strings, so any
@@ -305,14 +312,17 @@ TEST(ConcurrencyStressTest, VersionedStoreConcurrentReadWrite) {
 //      seqlock read escaping validation.
 //   3. NotFound never surfaces for seeded keys (a slot mismatch must fall
 //      back to the locked map, not fabricate a miss).
+//   4. GC visited records, i.e. the race above actually ran.
 TEST(ConcurrencyStressTest, VersionedStoreFastSlotReadersVsWritersAndGC) {
   constexpr int kWriters = 2;
   constexpr int kReaders = 4;
   constexpr int kNumKeys = 8;
   constexpr int kStrKeys = 4;
   constexpr int kOpsPerWriter = 4'000;
+  constexpr Version kDone = std::numeric_limits<Version>::max();
 
-  VersionedStore store;
+  Metrics metrics;
+  VersionedStore store(&metrics);
   for (int k = 0; k < kNumKeys; ++k) {
     store.Seed("hot" + std::to_string(k), Value{}, /*version=*/1);
   }
@@ -320,48 +330,73 @@ TEST(ConcurrencyStressTest, VersionedStoreFastSlotReadersVsWritersAndGC) {
     store.Seed("str" + std::to_string(k), Value{}, /*version=*/1);
   }
   std::atomic<bool> stop{false};
+  std::atomic<Version> vu{2};
+  std::atomic<Version> vr{1};
+  // The version each thread works at (kDone once finished): the test's
+  // stand-in for the R/C quiescence the advancement coordinator waits for.
+  std::vector<std::atomic<Version>> writer_at(kWriters);
+  std::vector<std::atomic<Version>> reader_at(kReaders);
 
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
       for (int i = 0; i < kOpsPerWriter; ++i) {
+        const Version v = vu.load();
+        writer_at[w].store(v);
         Operation add;
         add.kind = OpKind::kAdd;
         add.key = "hot" + std::to_string((w + i) % kNumKeys);
         add.arg = 1;
-        ASSERT_TRUE(store.Update(add.key, /*version=*/1, add).ok());
+        ASSERT_TRUE(store.Update(add.key, v, add).ok());
         // Uniform-character payload, length 0..32: stays slot-eligible and
         // makes torn string reads detectable.
         Operation put;
         put.kind = OpKind::kPut;
         put.key = "str" + std::to_string(i % kStrKeys);
         put.payload = std::string(i % 33, static_cast<char>('a' + (i % 8)));
-        ASSERT_TRUE(store.Update(put.key, /*version=*/1, put).ok());
+        ASSERT_TRUE(store.Update(put.key, v, put).ok());
       }
+      writer_at[w].store(kDone);
     });
   }
-  // GC takes every shard's exclusive lock and refreshes every slot; racing
-  // it against readers is the seqlock's worst case.
+  // Returns false if the run stopped while waiting.
+  auto wait_all_reach = [&stop](std::vector<std::atomic<Version>>& at,
+                                Version v) {
+    for (auto& a : at) {
+      while (a.load() < v) {
+        if (stop.load()) return false;
+        std::this_thread::yield();
+      }
+    }
+    return true;
+  };
+  std::atomic<int> collections{0};
   std::thread gc([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      store.GarbageCollect(/*vr_new=*/1);
+    while (!stop.load()) {
+      const Version frozen = vu.load();
+      vu.store(NextVersion(frozen));
+      if (!wait_all_reach(writer_at, NextVersion(frozen))) return;
+      vr.store(frozen);
+      if (!wait_all_reach(reader_at, frozen)) return;
+      store.GarbageCollect(frozen);
+      collections.fetch_add(1);
     }
   });
   std::vector<std::thread> readers;
   for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&] {
+    readers.emplace_back([&, r] {
       Value v;  // reused across calls, like the protocol layer does
-      while (!stop.load(std::memory_order_relaxed)) {
+      while (!stop.load()) {
+        const Version at = vr.load();
+        reader_at[r].store(at);
         for (int k = 0; k < kNumKeys; ++k) {
-          Status s =
-              store.ReadInto("hot" + std::to_string(k), /*max_version=*/1, &v);
+          Status s = store.ReadInto("hot" + std::to_string(k), at, &v);
           ASSERT_TRUE(s.ok());
           ASSERT_GE(v.num, 0);
           ASSERT_LE(v.num, int64_t{kWriters} * kOpsPerWriter);
         }
         for (int k = 0; k < kStrKeys; ++k) {
-          Status s =
-              store.ReadInto("str" + std::to_string(k), /*max_version=*/1, &v);
+          Status s = store.ReadInto("str" + std::to_string(k), at, &v);
           ASSERT_TRUE(s.ok());
           ASSERT_LE(v.str.size(), 32u);
           for (char c : v.str) {
@@ -372,18 +407,24 @@ TEST(ConcurrencyStressTest, VersionedStoreFastSlotReadersVsWritersAndGC) {
     });
   }
   for (auto& t : writers) t.join();
-  stop.store(true, std::memory_order_relaxed);
+  // Writers can finish before the GC thread gets going; two more full
+  // rounds collect the second copies they left, with readers still racing.
+  const int after_writes = collections.load();
+  while (collections.load() < after_writes + 2) std::this_thread::yield();
+  stop.store(true);
   gc.join();
   for (auto& t : readers) t.join();
 
   int64_t total = 0;
   for (int k = 0; k < kNumKeys; ++k) {
-    auto v = store.Read("hot" + std::to_string(k), /*max_version=*/1);
+    auto v = store.Read("hot" + std::to_string(k), vu.load());
     ASSERT_TRUE(v.ok());
     total += v->num;
   }
   EXPECT_EQ(total, int64_t{kWriters} * kOpsPerWriter);
   EXPECT_LE(store.MaxVersionsObserved(), kMaxSimultaneousVersions);
+  EXPECT_GT(metrics.gc_records_visited.load(), 0)
+      << "GC never found a second copy to collect";
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 // recovery path that rebuilds node state from checkpoint + log.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 
@@ -85,6 +88,7 @@ TEST(WalTest, AppendThenReadAllInOrder) {
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE((*wal)->Append(UpdateRecord("k", 1, i)).ok());
   }
+  ASSERT_TRUE((*wal)->Commit().ok());
   uint64_t bytes = 0;
   auto records = WriteAheadLog::ReadAll(dir, 1, &bytes);
   ASSERT_TRUE(records.ok());
@@ -202,11 +206,108 @@ TEST(WalTest, ReopenNeverAppendsBehindATornTail) {
   EXPECT_GT((*wal2)->current_segment(), first_seg)
       << "appending behind a torn tail would make new records unreachable";
   ASSERT_TRUE((*wal2)->Append(UpdateRecord("k", 1, 2)).ok());
+  ASSERT_TRUE((*wal2)->Commit().ok());
 
   auto records = WriteAheadLog::ReadAll(dir, 1);
   ASSERT_TRUE(records.ok());
   ASSERT_EQ(records->size(), 2u);
   EXPECT_EQ((*records)[1].images[0].value.num, 2);
+}
+
+TEST(WalTest, StagedFramesInvisibleUntilCommit) {
+  const std::string dir = TestDir("wal_staged");
+  Metrics metrics;
+  WalOptions opts;
+  opts.dir = dir;
+  auto wal = WriteAheadLog::Open(opts, &metrics);
+  ASSERT_TRUE(wal.ok());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE((*wal)->Append(UpdateRecord("k", 1, i)).ok());
+  }
+  auto records = WriteAheadLog::ReadAll(dir, 1);
+  ASSERT_TRUE(records.ok());
+  EXPECT_TRUE(records->empty()) << "staged frames reached the file";
+  EXPECT_EQ(metrics.wal_records.load(), 3);
+  EXPECT_EQ(metrics.wal_commits.load(), 0);
+
+  ASSERT_TRUE((*wal)->Commit().ok());
+  records = WriteAheadLog::ReadAll(dir, 1);
+  ASSERT_TRUE(records.ok());
+  ASSERT_EQ(records->size(), 3u);
+  EXPECT_EQ((*records)[2].images[0].value.num, 2);
+  // Nothing staged: no write.
+  ASSERT_TRUE((*wal)->Commit().ok());
+  EXPECT_EQ(metrics.wal_commits.load(), 1);
+}
+
+TEST(WalTest, OneCommitOfManyRecordsIsOneWrite) {
+  const std::string dir = TestDir("wal_group");
+  Metrics metrics;
+  WalOptions opts;
+  opts.dir = dir;
+  opts.fsync = FsyncPolicy::kEveryRecord;
+  auto wal = WriteAheadLog::Open(opts, &metrics);
+  ASSERT_TRUE(wal.ok());
+  constexpr int kRecords = 25;
+  for (int i = 0; i < kRecords; ++i) {
+    ASSERT_TRUE((*wal)->Append(UpdateRecord("k", 1, i)).ok());
+  }
+  EXPECT_EQ(fs::file_size(WriteAheadLog::SegmentPath(dir, 1)), 0u);
+  ASSERT_TRUE((*wal)->Commit().ok());
+  EXPECT_EQ(metrics.wal_commits.load(), 1);
+  EXPECT_EQ(metrics.wal_fsyncs.load(), 1) << "kEveryRecord syncs per commit";
+  EXPECT_EQ(fs::file_size(WriteAheadLog::SegmentPath(dir, 1)),
+            (*wal)->bytes_appended());
+  auto records = WriteAheadLog::ReadAll(dir, 1);
+  ASSERT_TRUE(records.ok());
+  EXPECT_EQ(records->size(), static_cast<size_t>(kRecords));
+}
+
+TEST(WalTest, ForcedRecordUnderBatchCommitsAndSyncsAtOnce) {
+  const std::string dir = TestDir("wal_forced");
+  Metrics metrics;
+  WalOptions opts;
+  opts.dir = dir;
+  opts.fsync = FsyncPolicy::kBatch;
+  auto wal = WriteAheadLog::Open(opts, &metrics);
+  ASSERT_TRUE(wal.ok());
+  ASSERT_TRUE((*wal)->Append(UpdateRecord("k", 1, 1)).ok());
+  ASSERT_TRUE((*wal)->Append(UpdateRecord("k", 1, 2)).ok());
+  EXPECT_EQ(metrics.wal_fsyncs.load(), 0);
+  WalRecord prepared;
+  prepared.type = WalRecordType::kNcPrepared;
+  prepared.txn = 9;
+  ASSERT_TRUE((*wal)->Append(prepared, /*force=*/true).ok());
+  EXPECT_EQ(metrics.wal_commits.load(), 1);
+  EXPECT_EQ(metrics.wal_fsyncs.load(), 1);
+  // The forced record carried the unforced ones staged before it.
+  auto records = WriteAheadLog::ReadAll(dir, 1);
+  ASSERT_TRUE(records.ok());
+  ASSERT_EQ(records->size(), 3u);
+  EXPECT_EQ((*records)[2].type, WalRecordType::kNcPrepared);
+}
+
+TEST(WalTest, RotationCommitsBeforeOpeningNextSegment) {
+  const std::string dir = TestDir("wal_rotate_commit");
+  Metrics metrics;
+  WalOptions opts;
+  opts.dir = dir;
+  auto wal = WriteAheadLog::Open(opts, &metrics);
+  ASSERT_TRUE(wal.ok());
+  ASSERT_TRUE((*wal)->Append(UpdateRecord("k", 1, 1)).ok());
+  ASSERT_TRUE((*wal)->Append(UpdateRecord("k", 1, 2)).ok());
+  ASSERT_TRUE((*wal)->RotateSegment().ok());
+  EXPECT_EQ((*wal)->current_segment(), 2u);
+  EXPECT_EQ(metrics.wal_commits.load(), 1);
+  auto first = WriteAheadLog::ReadAll(dir, 1);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first->size(), 2u) << "staged frames must land in the old segment";
+  ASSERT_TRUE((*wal)->Append(UpdateRecord("k", 1, 3)).ok());
+  ASSERT_TRUE((*wal)->Commit().ok());
+  EXPECT_EQ(WriteAheadLog::ReadAll(dir, 2)->size(), 1u);
+  EXPECT_EQ(fs::file_size(WriteAheadLog::SegmentPath(dir, 1)) +
+                fs::file_size(WriteAheadLog::SegmentPath(dir, 2)),
+            (*wal)->bytes_appended());
 }
 
 TEST(CheckpointTest, RoundTrip) {
@@ -509,6 +610,156 @@ TEST(RecoveryTest, CheckpointRefusedWhileSubtxnsPending) {
   net.DeliverAll();
   net.loop().RunUntil([&] { return done; });
   EXPECT_TRUE(cluster.CheckpointAll().ok());
+}
+
+// Group commit, counted exactly: after warm-up (the id block is reserved),
+// a root on node 0 with one child on node 1 logs R(self), kUpdate and
+// R(child) before the child request leaves (commit 1); the child logs
+// kUpdate and C before its completion notice (commit 2); the root logs C
+// before the client result (commit 3). Six records, three writes.
+TEST(GroupCommitTest, TwoSubtxnUpdateIsSixRecordsInThreeCommits) {
+  const std::string dir = TestDir("group_commit_counts");
+  Metrics metrics;
+  SimNet net(SimNetOptions{.seed = 3}, &metrics);
+  ClusterOptions options;
+  options.num_nodes = 2;
+  options.wal_dir = dir;
+  Cluster cluster(options, &net, &metrics);
+
+  auto run_one = [&] {
+    bool done = false;
+    cluster.Submit(0, TxnBuilder(0).Add("a", 1).Child(1, {OpAdd("b", 1)}).Build(),
+                   [&done](const TxnResult& r) {
+                     EXPECT_TRUE(r.status.ok());
+                     done = true;
+                   });
+    net.loop().RunUntil([&] { return done; });
+    ASSERT_TRUE(done);
+  };
+  run_one();  // warm-up
+  const int64_t records = metrics.wal_records.load();
+  const int64_t commits = metrics.wal_commits.load();
+  run_one();
+  EXPECT_EQ(metrics.wal_records.load() - records, 6);
+  EXPECT_EQ(metrics.wal_commits.load() - commits, 3);
+  EXPECT_EQ(metrics.wal_commit_failures.load(), 0);
+  // Between events nothing is staged: every record is on disk.
+  int64_t on_disk = 0;
+  for (int i = 0; i < 2; ++i) {
+    auto recs = WriteAheadLog::ReadAll(dir + "/node-" + std::to_string(i), 1);
+    ASSERT_TRUE(recs.ok());
+    on_disk += static_cast<int64_t>(recs->size());
+  }
+  EXPECT_EQ(on_disk, metrics.wal_records.load());
+}
+
+// Handlers that log and then wait without sending (an NC3V root held at the
+// version gate, a commuting update queued behind an NC lock) still commit on
+// exit: at every delivery the segment files hold every byte staged so far.
+TEST(GroupCommitTest, NothingStagedBetweenEvents) {
+  const std::string dir = TestDir("group_commit_between_events");
+  Metrics metrics;
+  SimNet net(SimNetOptions{.seed = 9}, &metrics);
+  ClusterOptions options;
+  options.num_nodes = 3;
+  options.mode = NodeMode::kNC3V;
+  options.wal_dir = dir;
+  Cluster cluster(options, &net, &metrics);
+  auto bytes_on_disk = [&dir] {
+    int64_t total = 0;
+    for (int i = 0; i < 3; ++i) {
+      const std::string node_dir = dir + "/node-" + std::to_string(i);
+      for (uint64_t seg : WriteAheadLog::ListSegments(node_dir)) {
+        total += static_cast<int64_t>(
+            fs::file_size(WriteAheadLog::SegmentPath(node_dir, seg)));
+      }
+    }
+    return total;
+  };
+  int64_t checked = 0;
+  net.SetDeliveryTap([&](NodeId, const Message&) {
+    ASSERT_EQ(bytes_on_disk(), metrics.wal_bytes.load());
+    ++checked;
+  });
+  int done = 0;
+  constexpr int kTxns = 60;
+  for (int i = 0; i < kTxns; ++i) {
+    const NodeId a = i % 3;
+    const NodeId b = (a + 1) % 3;
+    TxnBuilder builder(a);
+    if (i % 3 == 0) {
+      builder.Put("hot", std::to_string(i)).Child(b, {OpPut("hot2", "x")});
+    } else {
+      builder.Add("hot", 1).Child(b, {OpAdd("hot2", 1)});
+    }
+    cluster.Submit(a, builder.Build(), [&done](const TxnResult&) { ++done; });
+    if (i % 10 == 5) cluster.coordinator().StartAdvancement();
+    net.loop().RunFor(300);
+  }
+  net.loop().RunUntil([&] { return done == kTxns; });
+  EXPECT_EQ(done, kTxns);
+  EXPECT_GT(checked, 0);
+  EXPECT_GT(metrics.version_gate_waits.load() + metrics.lock_waits.load(), 0)
+      << "the load never made a handler wait after logging";
+}
+
+// A write the OS refuses (here EFBIG: the file-size limit is lowered to the
+// segment's current size for this process only) halts the node before the
+// message that depended on the lost records can leave. The root spawns two
+// children, so the same handler stages a record and sends again after the
+// failure: the failed log must refuse that commit too.
+TEST(GroupCommitTest, FailedCommitHaltsNodeAndDropsTheMessage) {
+  const std::string dir = TestDir("group_commit_failure");
+  Metrics metrics;
+  SimNet net(SimNetOptions{.seed = 4}, &metrics);
+  ClusterOptions options;
+  options.num_nodes = 2;
+  options.wal_dir = dir;
+  Cluster cluster(options, &net, &metrics);
+
+  int results = 0;
+  auto submit = [&] {
+    cluster.Submit(0,
+                   TxnBuilder(0)
+                       .Add("acct", 5)
+                       .Child(1, {OpAdd("x", 1)})
+                       .Child(1, {OpAdd("y", 1)})
+                       .Build(),
+                   [&results](const TxnResult&) { ++results; });
+  };
+  submit();  // warm-up: the node logs and answers normally
+  net.loop().RunFor(1'000'000);
+  ASSERT_EQ(results, 1);
+  ASSERT_EQ(metrics.wal_commit_failures.load(), 0);
+
+  const std::string segment = WriteAheadLog::SegmentPath(
+      dir + "/node-0", cluster.node(0).wal()->current_segment());
+  const auto size = static_cast<rlim_t>(fs::file_size(segment));
+  const int64_t records_on_disk =
+      static_cast<int64_t>(WriteAheadLog::ReadAll(dir + "/node-0", 1)->size());
+  struct rlimit saved;
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  auto* saved_handler = std::signal(SIGXFSZ, SIG_IGN);
+  struct rlimit lowered = saved;
+  lowered.rlim_cur = size;
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &lowered), 0);
+
+  submit();
+  const int64_t sent_before = metrics.messages_sent.load();
+  net.loop().RunFor(1'000'000);
+
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
+  std::signal(SIGXFSZ, saved_handler);
+
+  EXPECT_TRUE(cluster.node(0).halted());
+  EXPECT_EQ(metrics.wal_commit_failures.load(), 1);
+  EXPECT_EQ(metrics.messages_sent.load(), sent_before)
+      << "a message left after its log records failed to commit";
+  EXPECT_EQ(results, 1);
+  EXPECT_EQ(fs::file_size(segment), size);
+  EXPECT_EQ(static_cast<int64_t>(
+                WriteAheadLog::ReadAll(dir + "/node-0", 1)->size()),
+            records_on_disk);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <thread>
 
 #include "threev/common/wait_group.h"
@@ -94,13 +95,17 @@ TEST(ThreadNetTest, ClusterUnderConcurrentLoad) {
   EXPECT_TRUE(check.ok()) << check.Summary();
 }
 
-TEST(ThreadNetTest, MixedNonCommutingLoadResolves) {
-  Metrics metrics;
+// Mixed commuting / non-commuting load. With `wal_dir` set every node logs;
+// its lock-timeout and 2PC-retry timers run on the timer thread, so records
+// can be staged there while handlers stage and commit on the endpoint
+// thread.
+void RunMixedNonCommutingLoad(const std::string& wal_dir, Metrics& metrics) {
   ThreadNet net(ThreadNetOptions{}, &metrics);
   ClusterOptions options;
   options.num_nodes = 3;
   options.mode = NodeMode::kNC3V;
   options.nc_lock_timeout = 20'000;
+  options.wal_dir = wal_dir;
   Cluster cluster(options, &net, &metrics);
   net.Start();
 
@@ -142,6 +147,33 @@ TEST(ThreadNetTest, MixedNonCommutingLoadResolves) {
     EXPECT_EQ(cluster.node(n).locks().HeldCount(), 0u)
         << "locks leaked on node " << n;
   }
+}
+
+TEST(ThreadNetTest, MixedNonCommutingLoadResolves) {
+  Metrics metrics;
+  RunMixedNonCommutingLoad("", metrics);
+}
+
+// Every handler and timer callback commits what it staged, whichever thread
+// staged it: once the transport stops, every record is on disk.
+TEST(ThreadNetTest, MixedNonCommutingLoadWithWalLeavesNothingStaged) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "threev_thread_net_wal";
+  std::filesystem::remove_all(dir);
+  Metrics metrics;
+  RunMixedNonCommutingLoad(dir.string(), metrics);
+  int64_t on_disk = 0;
+  for (int n = 0; n < 3; ++n) {
+    const auto node_dir = dir / ("node-" + std::to_string(n));
+    auto records = WriteAheadLog::ReadAll(node_dir.string(), 1);
+    ASSERT_TRUE(records.ok());
+    on_disk += static_cast<int64_t>(records->size());
+  }
+  EXPECT_GT(on_disk, 0);
+  EXPECT_EQ(on_disk, metrics.wal_records.load());
+  EXPECT_LE(metrics.wal_commits.load(), metrics.wal_records.load());
+  EXPECT_EQ(metrics.wal_commit_failures.load(), 0);
+  std::filesystem::remove_all(dir);
 }
 
 // bytes_sent charges the one size model: the exact encoded size of every

@@ -60,6 +60,11 @@ analysis can express, because they live above the type system:
                      a Message-typed variable. A field nothing outside the
                      transports reads is dead weight on every frame.
 
+  node-send          In core/node.cc, network_->Send appears only inside
+                     Node::Send, which commits the node's staged WAL frames
+                     before a message leaves: log before externalize
+                     (DESIGN.md section 9), enforced by structure.
+
 Usage:
   tools/threev_lint.py [--root REPO_ROOT]   lint the tree (exit 1 on findings)
   tools/threev_lint.py --self-test          run the seeded-violation tests
@@ -470,10 +475,9 @@ def parse_metrics_fields(code):
     return fields
 
 
-def extract_function_body(code, name):
-    """Returns the brace-enclosed body of the first definition of `name`,
-    or None. Body extraction matters: Reset()/MergeFrom() in the same file
-    also name every field, so whole-file search would never fire."""
+def function_body_span(code, name):
+    """Returns the (start, end) offsets of the brace-enclosed body of the
+    first definition of `name`, or None."""
     m = re.search(re.escape(name) + r"\s*\(", code)
     if m is None:
         return None
@@ -487,8 +491,16 @@ def extract_function_body(code, name):
         elif code[i] == "}":
             depth -= 1
             if depth == 0:
-                return code[open_brace + 1:i]
+                return open_brace + 1, i
     return None
+
+
+def extract_function_body(code, name):
+    """Returns the brace-enclosed body of the first definition of `name`,
+    or None. Body extraction matters: Reset()/MergeFrom() in the same file
+    also name every field, so whole-file search would never fire."""
+    span = function_body_span(code, name)
+    return None if span is None else code[span[0]:span[1]]
 
 
 def check_metrics_observability(files):
@@ -614,6 +626,37 @@ def check_message_fields(files):
     return findings
 
 
+# ---------------------------------------------------------------------------
+# Rule: a node externalizes only through Node::Send
+# ---------------------------------------------------------------------------
+#
+# Log before externalize (DESIGN.md section 9) holds by construction because
+# Node::Send commits the node's staged WAL frames before it hands a message
+# to the network. A direct network_->Send anywhere else in node.cc would let
+# a message overtake the records it depends on.
+
+NODE_IMPL = "src/threev/core/node.cc"
+RAW_SEND_RE = re.compile(r"\bnetwork_\s*->\s*Send\s*\(")
+
+
+def check_node_send(files):
+    node = by_path(files).get(NODE_IMPL)
+    if node is None:
+        return []
+    span = function_body_span(node.code, "Node::Send")
+    if span is None:
+        return [Finding("node-send", NODE_IMPL, 1,
+                        "could not locate the body of Node::Send")]
+    findings = []
+    for m in RAW_SEND_RE.finditer(node.code):
+        if not span[0] <= m.start() < span[1]:
+            findings.append(Finding(
+                "node-send", NODE_IMPL, node.line_of(m.start()),
+                "network_->Send outside Node::Send; send through Node::Send, "
+                "which commits the staged log frames first"))
+    return findings
+
+
 RULES = [
     check_wire_symmetry,
     check_lock_blocking,
@@ -623,6 +666,7 @@ RULES = [
     check_analysis_optout,
     check_metrics_observability,
     check_message_fields,
+    check_node_send,
 ]
 
 
@@ -977,6 +1021,38 @@ void VersionedStore::Bad2() {
     expect("message field missing from the encoder",
            check_message_fields([message_h, wire_cc_lossy, reader_cc]),
            "message-fields", True)
+
+    # --- node send --------------------------------------------------------
+    node_ok = _mkfile("src/threev/core/node.cc", """
+void Node::Send(NodeId to, Message m) {
+  if (wal_ != nullptr && !CommitLog()) return;
+  network_->Send(to, std::move(m));
+}
+void Node::OnPrepare(const Message& msg) {
+  Send(msg.from, std::move(m));
+}
+""")
+    expect("sends through Node::Send", check_node_send([node_ok]),
+           "node-send", False)
+    # Seed: a handler that bypasses the choke point.
+    node_bypass = _mkfile("src/threev/core/node.cc", """
+void Node::Send(NodeId to, Message m) {
+  if (wal_ != nullptr && !CommitLog()) return;
+  network_->Send(to, std::move(m));
+}
+void Node::OnPrepare(const Message& msg) {
+  network_->Send(msg.from, std::move(m));
+}
+""")
+    expect("network_->Send outside Node::Send", check_node_send([node_bypass]),
+           "node-send", True)
+    node_no_choke = _mkfile("src/threev/core/node.cc", """
+void Node::OnPrepare(const Message& msg) {
+  network_->Send(msg.from, std::move(m));
+}
+""")
+    expect("node without Node::Send", check_node_send([node_no_choke]),
+           "node-send", True)
 
     # --- stripping machinery ---------------------------------------------
     stripped = strip_comments_and_strings(
