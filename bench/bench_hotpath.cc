@@ -1,7 +1,7 @@
 // Hot-path microbenchmarks with machine-readable output: the per-PR perf
 // trajectory for the versioned-store read path and garbage collection, the
-// wire codec, WAL group commit, and the mailbox drain. Unlike the
-// google-benchmark targets (bench_micro), this harness emits
+// wire codec, WAL group commit, and one hop through each real transport.
+// Unlike the google-benchmark targets (bench_micro), this harness emits
 // BENCH_hotpath.json (schema checked by tools/check_bench_json.py) so CI can
 // archive per-run numbers and future PRs can diff against the committed
 // baseline (bench/BENCH_hotpath.baseline.json = pre-optimization seed code,
@@ -10,21 +10,28 @@
 // Usage: bench_hotpath [--quick] [--out FILE]
 //   --quick   CI smoke mode: ~20x fewer iterations, same schema.
 //   --out     output path (default BENCH_hotpath.json; "-" = stdout).
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_util.h"
-#include "threev/common/queue.h"
 #include "threev/common/random.h"
+#include "threev/common/wait_group.h"
 #include "threev/durability/wal.h"
 #include "threev/metrics/histogram.h"
+#include "threev/net/tcp_net.h"
+#include "threev/net/thread_net.h"
 #include "threev/net/wire.h"
 #include "threev/storage/versioned_store.h"
 #include "threev/trace/trace.h"
@@ -423,73 +430,120 @@ HotpathResult BenchWalStageCommit(int64_t batches) {
   return r;
 }
 
-// --- mailbox drain ----------------------------------------------------------
+// --- transport hop -----------------------------------------------------------
 
-// `producers` threads pushing, one consumer draining: the ThreadNet mailbox
-// / TcpNet inbound-queue shape. Latency is sampled on the consumer.
-HotpathResult BenchQueueDrain(size_t producers, int64_t batches) {
-  BlockingQueue<int64_t> queue;
-  const int64_t total = batches * kBatch;
+// Endpoint 0 (on `net0`) and endpoint 1 (on `net1`) bounce one message:
+// each handler sends it on to the other endpoint through its own transport.
+// The row is `hops` one-way hops (send to the other handler's entry) after
+// a warm-up of kBatch hops that also opens any connections; latency is
+// sampled per kBatch hops. `start` starts the transport(s), `stop` stops
+// them before the handlers' captured state goes away.
+HotpathResult BenchHop(const std::string& name, Network& net0, Network& net1,
+                       const std::function<void()>& start,
+                       const std::function<void()>& stop, int64_t hops) {
+  const int64_t total = kBatch + hops;
   Histogram lat;
-  std::vector<std::thread> prod;
-  for (size_t p = 0; p < producers; ++p) {
-    prod.emplace_back([&, p] {
-      int64_t n = total / static_cast<int64_t>(producers) +
-                  (p == 0 ? total % static_cast<int64_t>(producers) : 0);
-      for (int64_t i = 0; i < n; ++i) queue.Push(i);
+  // One message is in flight at a time, so the handlers run one after
+  // another. The state they share is atomic all the same: over TcpNet
+  // the handoff between them goes through the kernel, which the C++
+  // memory model does not see.
+  std::atomic<int64_t> done_hops{0};
+  std::atomic<int64_t> t0_ns{0};
+  std::atomic<int64_t> batch_ns{0};
+  WaitGroup finished;
+  finished.Add(1);
+  Network* nets[2] = {&net0, &net1};
+  for (NodeId self : {NodeId{0}, NodeId{1}}) {
+    nets[self]->RegisterEndpoint(self, [&, self](const Message&) {
+      const int64_t n = done_hops.fetch_add(1) + 1;
+      const int64_t now = Clock::now().time_since_epoch().count();
+      if (n == kBatch) {
+        t0_ns.store(now);
+        batch_ns.store(now);
+      } else if (n > kBatch && (n - kBatch) % kBatch == 0) {
+        lat.Record((now - batch_ns.exchange(now)) / kBatch);
+      }
+      if (n == total) {
+        finished.Done();
+        return;
+      }
+      Message out;
+      out.type = MsgType::kClientSubmit;
+      out.from = self;
+      out.seq = static_cast<uint64_t>(n);
+      nets[self]->Send(1 - self, std::move(out));
     });
   }
-  auto body = [&](size_t) {
-    int64_t got = 0;
-    while (got < total) {
-      Clock::time_point t0 = Clock::now();
-      for (int i = 0; i < kBatch && got < total; ++i) {
-        if (!queue.Pop()) return;
-        ++got;
-      }
-      lat.Record(ElapsedNs(t0) / kBatch);
-    }
-  };
-  HotpathResult r = RunThreads("queue_drain_pop", 1, batches, lat, body);
-  r.threads = producers + 1;
-  for (auto& t : prod) t.join();
-  queue.Close();
+  start();
+  Message first;
+  first.type = MsgType::kClientSubmit;
+  first.from = 0;
+  net0.Send(1, std::move(first));
+  finished.Wait();
+  const int64_t end = Clock::now().time_since_epoch().count();
+  stop();
+  HotpathResult r;
+  r.name = name;
+  r.threads = 2;
+  r.ops = hops;
+  r.elapsed_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                     Clock::duration(end - t0_ns.load()))
+                     .count();
+  r.p50_ns = lat.Percentile(50);
+  r.p99_ns = lat.Percentile(99);
+  r.messages = hops;
   return r;
 }
 
-// Same shape, consumer draining via PopAll: what every ThreadNet endpoint
-// worker (TcpNet's too) does. One wakeup amortizes over the queued burst.
-HotpathResult BenchQueueDrainPopAll(size_t producers, int64_t batches) {
-  BlockingQueue<int64_t> queue;
-  const int64_t total = batches * kBatch;
-  Histogram lat;
-  std::vector<std::thread> prod;
-  for (size_t p = 0; p < producers; ++p) {
-    prod.emplace_back([&, p] {
-      int64_t n = total / static_cast<int64_t>(producers) +
-                  (p == 0 ? total % static_cast<int64_t>(producers) : 0);
-      for (int64_t i = 0; i < n; ++i) queue.Push(i);
-    });
-  }
-  auto body = [&](size_t) {
-    int64_t got = 0;
-    while (got < total) {
-      Clock::time_point t0 = Clock::now();
-      int64_t drained = 0;
-      while (drained < kBatch && got < total) {
-        std::deque<int64_t> batch = queue.PopAll();
-        if (batch.empty()) return;
-        drained += static_cast<int64_t>(batch.size());
-        got += static_cast<int64_t>(batch.size());
-      }
-      lat.Record(ElapsedNs(t0) / (drained > 0 ? drained : 1));
+// `n` distinct loopback ports that were free a moment ago: all bound to
+// port 0 at once, then released for the TcpNets to bind.
+std::vector<uint16_t> FreeLoopbackPorts(size_t n) {
+  std::vector<int> fds;
+  std::vector<uint16_t> ports;
+  for (size_t i = 0; i < n; ++i) {
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    if (fd < 0 ||
+        ::bind(fd, reinterpret_cast<sockaddr*>(&addr), len) != 0 ||
+        ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
+      std::abort();
     }
+    fds.push_back(fd);
+    ports.push_back(ntohs(addr.sin_port));
+  }
+  for (int fd : fds) ::close(fd);
+  return ports;
+}
+
+// ThreadNet: a hop is a mailbox push and, when the other worker is parked,
+// an eventfd wakeup.
+HotpathResult BenchThreadNetHop(int64_t hops) {
+  ThreadNet net;
+  return BenchHop("threadnet_hop", net, net, [&] { net.Start(); },
+                  [&] { net.Stop(); }, hops);
+}
+
+// TcpNet over loopback: a hop is a framed send on one socket and the
+// destination worker's read of it.
+HotpathResult BenchTcpNetHop(int64_t hops) {
+  std::vector<uint16_t> ports = FreeLoopbackPorts(2);
+  std::map<NodeId, std::string> peers = {
+      {0, "127.0.0.1:" + std::to_string(ports[0])},
+      {1, "127.0.0.1:" + std::to_string(ports[1])},
   };
-  HotpathResult r = RunThreads("queue_drain_popall", 1, batches, lat, body);
-  r.threads = producers + 1;
-  for (auto& t : prod) t.join();
-  queue.Close();
-  return r;
+  TcpNet net0(TcpNetOptions{.peers = peers, .listen_port = ports[0]});
+  TcpNet net1(TcpNetOptions{.peers = peers, .listen_port = ports[1]});
+  auto start = [&] {
+    if (!net0.Start().ok() || !net1.Start().ok()) std::abort();
+  };
+  auto stop = [&] {
+    net0.Stop();
+    net1.Stop();
+  };
+  return BenchHop("tcpnet_hop", net0, net1, start, stop, hops);
 }
 
 void PrintRow(const HotpathResult& r) {
@@ -536,7 +590,7 @@ int Main(int argc, char** argv) {
 
   PrintHeader(
       "hot-path microbenchmarks (store read / GC / wire codec / WAL / "
-      "queue)");
+      "transport hop)");
   std::vector<HotpathResult> results;
   auto run = [&](const std::function<HotpathResult()>& fn) {
     TraceContext span;
@@ -560,8 +614,8 @@ int Main(int argc, char** argv) {
   run([&] { return BenchWireEncodePooled(scale / 4); });
   run([&] { return BenchWireDecode(scale / 4); });
   run([&] { return BenchWalStageCommit(scale / 40); });
-  run([&] { return BenchQueueDrain(3, scale); });
-  run([&] { return BenchQueueDrainPopAll(3, scale); });
+  run([&] { return BenchThreadNetHop(scale / 4); });
+  run([&] { return BenchTcpNetHop(scale / 4); });
 
   if (!WriteHotpathJson(out_path, quick, results)) {
     std::fprintf(stderr, "failed to write %s\n", out_path.c_str());

@@ -10,9 +10,11 @@
 
 namespace threev {
 
-// Unbounded MPMC blocking queue used as the endpoint mailbox in ThreadNet
-// (and so in TcpNet). Close() unblocks all waiters; after close, Pop drains
-// remaining items and then returns nullopt.
+// Unbounded MPMC blocking queue, for handing results between threads (tests
+// collect what handler threads deliver with it). Close() unblocks all
+// waiters; after close, Pop drains remaining items and then returns
+// nullopt. ThreadNet's mailbox is not one: its worker parks in epoll_wait,
+// not on a condition variable (see thread_net.h).
 template <typename T>
 class BlockingQueue {
  public:
@@ -39,19 +41,6 @@ class BlockingQueue {
     T item = std::move(items_.front());
     items_.pop_front();
     return item;
-  }
-
-  // Batch drain: blocks until at least one item is available (or the queue
-  // is closed and drained), then takes EVERYTHING queued in one swap. An
-  // empty result means closed-and-drained. Delivery loops prefer this over
-  // Pop(): one lock round trip and one wakeup amortize over the whole
-  // burst, which is where mailbox throughput goes under load.
-  std::deque<T> PopAll() EXCLUDES(mu_) {
-    std::deque<T> batch;
-    MutexLock lock(mu_);
-    cv_.wait(lock, [&]() REQUIRES(mu_) { return !items_.empty() || closed_; });
-    batch.swap(items_);
-    return batch;
   }
 
   void Close() EXCLUDES(mu_) {

@@ -185,11 +185,15 @@ const Node& Cluster::node(size_t i) const {
 
 bool Cluster::node_alive(size_t i) const {
   MutexLock lock(mu_);
-  return nodes_[i] != nullptr;
+  return nodes_[i] != nullptr && !nodes_[i]->halted();
 }
 
 void Cluster::KillNode(size_t i) {
   MutexLock lock(mu_);
+  BuryLocked(i);
+}
+
+void Cluster::BuryLocked(size_t i) {
   if (nodes_[i] == nullptr) return;
   nodes_[i]->Halt();
   network_->SetEndpointUp(static_cast<NodeId>(i), false);
@@ -202,6 +206,9 @@ void Cluster::KillNode(size_t i) {
 void Cluster::RestartNode(size_t i) {
   {
     MutexLock lock(mu_);
+    // A node that halted itself (a failed WAL commit) still holds its
+    // slot; it dies here exactly as KillNode would have killed it.
+    if (nodes_[i] != nullptr && nodes_[i]->halted()) BuryLocked(i);
     THREEV_CHECK(nodes_[i] == nullptr)
         << "restart of node " << i << " which is still alive";
   }

@@ -123,7 +123,8 @@ class Cluster {
   // node_alive.
   Node& node(size_t i) EXCLUDES(mu_);
   const Node& node(size_t i) const EXCLUDES(mu_);
-  // False while node i is killed (its slot holds no live Node).
+  // False while node i is killed or has halted itself (a failed WAL
+  // commit).
   bool node_alive(size_t i) const EXCLUDES(mu_);
   AdvanceCoordinator& coordinator() { return *coordinator_; }
   Client& client() { return *client_; }
@@ -137,7 +138,8 @@ class Cluster {
   // Constructs a fresh Node over the same wal_dir - running crash
   // recovery in its constructor - and re-registers the endpoint (a new
   // incarnation; pre-crash in-flight messages stay dead). Requires
-  // wal_dir to have been set and node i to be dead.
+  // wal_dir to have been set and node i to be dead; a node that halted
+  // itself is first killed as by KillNode.
   void RestartNode(size_t i) EXCLUDES(mu_);
 
   // Checkpoints every live node; returns the first error (nodes that are
@@ -171,6 +173,9 @@ class Cluster {
  private:
   NodeOptions MakeNodeOptions(size_t i) const;
   void InstallNode(size_t i, std::unique_ptr<Node> node) REQUIRES(mu_);
+  // KillNode's body: halts node i, takes its endpoint down, parks it in the
+  // graveyard and counts the crash. No-op on an empty slot.
+  void BuryLocked(size_t i) REQUIRES(mu_);
   // Pointers to the currently-live nodes (parked incarnations excluded).
   std::vector<Node*> LiveNodes() const EXCLUDES(mu_);
 

@@ -3,10 +3,14 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 
@@ -57,16 +61,6 @@ bool SendAll(int fd, iovec* iov, size_t iovcnt) {
   return true;
 }
 
-bool ReadAll(int fd, uint8_t* data, size_t size) {
-  size_t got = 0;
-  while (got < size) {
-    ssize_t n = ::recv(fd, data + got, size - got, 0);
-    if (n <= 0) return false;
-    got += static_cast<size_t>(n);
-  }
-  return true;
-}
-
 }  // namespace
 
 TcpNet::TcpNet(TcpNetOptions options, Metrics* metrics)
@@ -87,7 +81,7 @@ void TcpNet::ScheduleAfter(Micros delay, std::function<void()> fn) {
 }
 
 Status TcpNet::Start() {
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) return Status::IoError("socket() failed");
   int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -104,7 +98,13 @@ Status TcpNet::Start() {
     ::close(fd);
     return Status::IoError("listen() failed");
   }
-  listen_fd_.store(fd, std::memory_order_release);
+  int wake = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (wake < 0) {
+    ::close(fd);
+    return Status::IoError("eventfd() failed");
+  }
+  listen_fd_ = fd;
+  accept_wake_fd_ = wake;
   local_.Start();
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   return Status::Ok();
@@ -112,9 +112,14 @@ Status TcpNet::Start() {
 
 void TcpNet::Stop() {
   if (stopping_.exchange(true)) return;
-  if (int fd = listen_fd_.exchange(-1, std::memory_order_acq_rel); fd >= 0) {
-    ::shutdown(fd, SHUT_RDWR);
-    ::close(fd);
+  if (accept_thread_.joinable()) {
+    const uint64_t one = 1;
+    (void)!::write(accept_wake_fd_, &one, sizeof(one));
+    accept_thread_.join();
+  }
+  for (int* fd : {&listen_fd_, &accept_wake_fd_}) {
+    if (*fd >= 0) ::close(*fd);
+    *fd = -1;
   }
   {
     MutexLock lock(conn_mu_);
@@ -125,66 +130,82 @@ void TcpNet::Stop() {
     connections_.clear();
   }
   // Stops the timer, then drains the local mailboxes; handlers that send
-  // to a remote endpoint now find no connection and drop the message.
+  // to a remote endpoint now find no connection and drop the message. The
+  // workers close the inbound connections they own as they exit.
   local_.Stop();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  {
-    // Unblock readers parked in recv() on accepted connections.
-    MutexLock lock(readers_mu_);
-    for (int fd : accepted_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  MutexLock lock(readers_mu_);
-  for (auto& t : reader_threads_) {
-    if (t.joinable()) t.join();
-  }
 }
 
 void TcpNet::AcceptLoop() {
-  while (!stopping_.load()) {
-    int lfd = listen_fd_.load(std::memory_order_acquire);
-    if (lfd < 0) break;
-    int fd = ::accept(lfd, nullptr, nullptr);
-    if (fd < 0) break;
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    MutexLock lock(readers_mu_);
-    accepted_fds_.push_back(fd);
-    reader_threads_.emplace_back([this, fd] { ReaderLoop(fd); });
+  std::vector<Unrouted> unrouted;
+  std::vector<pollfd> fds;
+  for (;;) {
+    fds.assign({pollfd{accept_wake_fd_, POLLIN, 0},
+                pollfd{listen_fd_, POLLIN, 0}});
+    for (const Unrouted& u : unrouted) fds.push_back(pollfd{u.fd, POLLIN, 0});
+    if (::poll(fds.data(), fds.size(), -1) < 0) {
+      if (errno == EINTR) continue;
+      THREEV_LOG(kWarn) << "accept poll failed: " << std::strerror(errno);
+      break;
+    }
+    if (fds[0].revents != 0) break;  // Stop()
+    // Backwards, so a swap-remove only moves an entry already visited.
+    for (size_t i = unrouted.size(); i-- > 0;) {
+      if (fds[i + 2].revents == 0 || RouteStep(unrouted[i])) continue;
+      std::swap(unrouted[i], unrouted.back());
+      unrouted.pop_back();
+    }
+    if (fds[1].revents != 0) {
+      for (;;) {
+        int fd = ::accept4(listen_fd_, nullptr, nullptr,
+                           SOCK_NONBLOCK | SOCK_CLOEXEC);
+        if (fd < 0) break;  // EAGAIN once the backlog is empty
+        int one = 1;
+        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+        unrouted.push_back(Unrouted{fd, {}});
+      }
+    }
   }
+  for (const Unrouted& u : unrouted) ::close(u.fd);
 }
 
-void TcpNet::ReaderLoop(int fd) {
-  // Reused across frames: steady-state receive does not allocate for the
-  // payload once the buffer has grown to the working frame size.
-  std::vector<uint8_t> payload;
+bool TcpNet::RouteStep(Unrouted& u) {
+  uint8_t chunk[4096];
+  const ssize_t n = ::recv(u.fd, chunk, sizeof(chunk), 0);
+  if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
+    return true;
+  }
+  if (n <= 0) {  // end of stream or error before any routable frame
+    ::close(u.fd);
+    return false;
+  }
+  u.buf.insert(u.buf.end(), chunk, chunk + n);
+  size_t pos = 0;
   for (;;) {
-    uint8_t header[8];
-    if (!ReadAll(fd, header, sizeof(header))) break;
-    // Header fields are little-endian on the wire, same as the payload.
-    uint32_t len = static_cast<uint32_t>(header[0]) |
-                   static_cast<uint32_t>(header[1]) << 8 |
-                   static_cast<uint32_t>(header[2]) << 16 |
-                   static_cast<uint32_t>(header[3]) << 24;
-    uint32_t dest = static_cast<uint32_t>(header[4]) |
-                    static_cast<uint32_t>(header[5]) << 8 |
-                    static_cast<uint32_t>(header[6]) << 16 |
-                    static_cast<uint32_t>(header[7]) << 24;
-    if (len > (64u << 20)) break;  // oversized frame: drop connection
-    payload.resize(len);
-    if (!ReadAll(fd, payload.data(), len)) break;
-    Result<Message> msg = DecodeMessage(payload.data(), payload.size());
-    if (!msg.ok()) {
-      THREEV_LOG(kWarn) << "dropping malformed frame: "
-                        << msg.status().ToString();
+    const size_t avail = u.buf.size() - pos;
+    if (u.skip > 0) {
+      const size_t k = std::min(u.skip, avail);
+      pos += k;
+      u.skip -= k;
+      if (u.skip > 0) break;
       continue;
     }
-    // An unknown destination is outside input, not a local bug: log and
-    // keep reading this connection.
-    if (!local_.Deliver(dest, std::move(*msg))) {
-      THREEV_LOG(kWarn) << "dropping frame for unknown endpoint " << dest;
+    if (avail < kFrameHeaderBytes) break;
+    const FrameHeader h = ParseFrameHeader(u.buf.data() + pos);
+    if (h.length > kMaxFramePayload) {  // oversized frame: drop connection
+      ::close(u.fd);
+      return false;
     }
+    if (local_.AdoptConnection(h.dest, u.fd, u.buf.data() + pos, avail)) {
+      return false;
+    }
+    // An unknown destination is outside input, not a local bug: log, skip
+    // the frame and keep reading this connection.
+    THREEV_LOG(kWarn) << "dropping frame for unknown endpoint " << h.dest;
+    pos += kFrameHeaderBytes;
+    u.skip = h.length;
   }
-  ::close(fd);
+  u.buf.erase(u.buf.begin(), u.buf.begin() + static_cast<ptrdiff_t>(pos));
+  return true;
 }
 
 std::shared_ptr<TcpNet::Conn> TcpNet::ConnectionTo(NodeId to) {
@@ -280,14 +301,14 @@ void TcpNet::Send(NodeId to, Message msg) {
   std::vector<uint8_t> frame = frame_pool_.Acquire();
   {
     WireWriter w(&frame);
-    w.Reserve(8 + payload_size);
+    w.Reserve(kFrameHeaderBytes + payload_size);
     w.U32(static_cast<uint32_t>(payload_size));
     w.U32(to);
     EncodeMessageTo(w, msg);
   }
   // The length header was written before the payload, so the size pre-pass
   // must be exact or the receiver mis-frames the stream.
-  THREEV_CHECK(frame.size() == 8 + payload_size);
+  THREEV_CHECK(frame.size() == kFrameHeaderBytes + payload_size);
   if (metrics_ != nullptr) {
     // Real bytes handed to the socket for this message, header included.
     metrics_->bytes_sent.fetch_add(static_cast<int64_t>(frame.size()),

@@ -35,11 +35,20 @@ struct TcpNetOptions {
 
 // TCP transport for genuine multi-process deployments ("manual networking
 // plumbing"). Frame format: u32 length, u32 destination endpoint id
-// (little-endian), EncodeMessage payload. Delivery and timers run on an
-// embedded ThreadNet: local endpoints register there, a send to a local
-// endpoint goes straight to its mailbox, and each accepted connection gets
-// a reader thread that decodes frames into the same mailboxes. Handlers
-// are therefore serialized per endpoint exactly as on ThreadNet.
+// (little-endian), EncodeMessage payload (wire.h). Delivery and timers run
+// on an embedded ThreadNet: local endpoints register there, and a send to
+// a local endpoint goes straight to its mailbox.
+//
+// Inbound sockets belong to the destination's worker. A sender keeps one
+// connection per destination endpoint (ConnectionTo), so every connection
+// has one natural owner: the accept thread reads a new connection, without
+// blocking, until the first frame header that names a local endpoint
+// (dropping any earlier frames for unknown endpoints), then hands the
+// socket and the bytes read so far to that endpoint's ThreadNet worker
+// (ThreadNet::AdoptConnection). From then on the worker reads and decodes
+// the socket itself, so a frame reaches its handler with one wakeup and no
+// thread exists per connection. Handlers are serialized per endpoint
+// exactly as on ThreadNet.
 //
 // Outbound frames use a combining flush per connection: senders enqueue an
 // encoded frame under the connection's lock, and whichever sender finds
@@ -64,7 +73,9 @@ class TcpNet : public Network {
   // Binds the listen socket, then starts the local endpoints' workers, the
   // timer and the accept thread. Register every local endpoint first.
   Status Start();
-  void Stop() EXCLUDES(conn_mu_, readers_mu_);
+  // Stops accepting, closes every connection and stops the embedded
+  // ThreadNet; no handler runs after it returns. Idempotent.
+  void Stop() EXCLUDES(conn_mu_);
 
  private:
   // One outbound TCP connection. `pending` holds fully framed buffers
@@ -77,8 +88,19 @@ class TcpNet : public Network {
     bool flushing GUARDED_BY(mu) = false;
   };
 
-  void AcceptLoop() EXCLUDES(readers_mu_);
-  void ReaderLoop(int fd);
+  // An accepted connection that has not yet named a local endpoint.
+  struct Unrouted {
+    int fd;
+    std::vector<uint8_t> buf;  // read, not yet consumed
+    size_t skip = 0;  // payload bytes of a dropped frame still to discard
+  };
+
+  // Polls the listen socket and the unrouted connections together, so a
+  // silent peer never delays another.
+  void AcceptLoop();
+  // One non-blocking read on `u`. Returns true while `u` stays unrouted;
+  // false once its fd was handed to a worker or closed.
+  bool RouteStep(Unrouted& u);
   // Returns the cached (or freshly established) connection to `to`.
   std::shared_ptr<Conn> ConnectionTo(NodeId to) EXCLUDES(conn_mu_);
   // Drains conn->pending with sendmsg() until another flusher takes over
@@ -91,19 +113,18 @@ class TcpNet : public Network {
 
   TcpNetOptions options_;
   Metrics* metrics_;
-  // Local endpoints' mailboxes and workers, and the timer thread. Carries
-  // no Metrics: Send() does the accounting for both paths.
+  // Local endpoints' mailboxes and workers (which also read the inbound
+  // sockets handed to them), and the timer thread. Carries no Metrics:
+  // Send() does the accounting for both paths.
   ThreadNet local_;
 
   std::atomic<bool> stopping_{false};
-  // Atomic: Stop() closes-and-invalidates while AcceptLoop reads it for
-  // accept(); a plain int would race the two threads.
-  std::atomic<int> listen_fd_{-1};
+  // Both set by Start() and closed by Stop() after the accept thread,
+  // their only other user, has exited. Stop() wakes it through the
+  // eventfd.
+  int listen_fd_ = -1;
+  int accept_wake_fd_ = -1;
   std::thread accept_thread_;
-  Mutex readers_mu_;
-  std::vector<std::thread> reader_threads_ GUARDED_BY(readers_mu_);
-  // Shut down in Stop() to unblock readers.
-  std::vector<int> accepted_fds_ GUARDED_BY(readers_mu_);
 
   Mutex conn_mu_;
   std::unordered_map<NodeId, std::shared_ptr<Conn>> connections_

@@ -1,12 +1,94 @@
 #include "threev/net/thread_net.h"
 
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
-#include <deque>
+#include <cstring>
 
 #include "threev/common/logging.h"
 #include "threev/net/wire.h"
 
 namespace threev {
+
+namespace {
+
+// A connection's receive buffer starts this small and grows only to the
+// largest frame it has to hold.
+constexpr size_t kInitialConnBuffer = 4096;
+// Ready descriptors taken per epoll_wait.
+constexpr int kMaxEvents = 64;
+
+void WakeFd(int fd) {
+  const uint64_t one = 1;
+  // Cannot fail short of a counter overflow, which would leave it readable
+  // anyway; the return value carries nothing to act on.
+  (void)!::write(fd, &one, sizeof(one));
+}
+
+}  // namespace
+
+// An inbound socket owned by one worker; buf[begin, end) holds bytes
+// received but not yet handled, starting at a frame boundary.
+struct ThreadNet::InboundConn {
+  InboundConn(int fd_in, const uint8_t* data, size_t size)
+      : fd(fd_in),
+        cap(std::max(kInitialConnBuffer, size)),
+        buf(new uint8_t[cap]),
+        end(size) {
+    if (size > 0) std::memcpy(buf.get(), data, size);
+  }
+  ~InboundConn() { ::close(fd); }
+  InboundConn(const InboundConn&) = delete;
+  InboundConn& operator=(const InboundConn&) = delete;
+
+  int fd;
+  size_t cap;
+  std::unique_ptr<uint8_t[]> buf;  // default-initialized: no zero fill
+  size_t begin = 0;
+  size_t end;
+};
+
+struct ThreadNet::Endpoint {
+  Endpoint()
+      : wake_fd(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)),
+        epoll_fd(::epoll_create1(EPOLL_CLOEXEC)) {
+    THREEV_CHECK(wake_fd >= 0 && epoll_fd >= 0)
+        << "eventfd/epoll_create1 failed: " << std::strerror(errno);
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.ptr = nullptr;  // null marks the eventfd; sockets carry a conn
+    THREEV_CHECK(::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, wake_fd, &ev) == 0);
+  }
+  ~Endpoint() {
+    ::close(epoll_fd);
+    ::close(wake_fd);
+  }
+
+  MessageHandler handler;
+  Mutex mu;  // the mailbox lock
+  std::vector<Message> mailbox GUARDED_BY(mu);
+  std::vector<std::unique_ptr<InboundConn>> adopted GUARDED_BY(mu);
+  bool closed GUARDED_BY(mu) = false;
+  // Called by a producer after it pushed under `mu`. Loads `parked`
+  // (seq_cst; see WorkerLoop) and writes the eventfd only for a parked
+  // worker; the exchange lets one of several racing producers pay for
+  // the write.
+  void WakeIfParked() {
+    if (parked.load() && parked.exchange(false)) WakeFd(wake_fd);
+  }
+
+  // Set by the worker just before it blocks in epoll_wait; see WorkerLoop
+  // for the protocol.
+  std::atomic<bool> parked{false};
+  const int wake_fd;
+  const int epoll_fd;
+  std::thread worker;
+};
 
 ThreadNet::ThreadNet(ThreadNetOptions options, Metrics* metrics)
     : options_(options), metrics_(metrics) {}
@@ -25,27 +107,9 @@ void ThreadNet::RegisterEndpoint(NodeId id, MessageHandler handler) {
 
 void ThreadNet::Start() {
   THREEV_CHECK(!started_.exchange(true, std::memory_order_acq_rel));
-  Tracer* tracer = options_.tracer;
   for (auto& [id, ep] : endpoints_) {
-    Endpoint* e = ep.get();
-    const NodeId self = id;
-    // Drain the mailbox in batches: one wakeup and one lock round trip
-    // serve an entire burst of messages, and handler execution stays
-    // serialized per endpoint.
-    e->worker = std::thread([e, tracer, self] {
-      for (;;) {
-        std::deque<Message> batch = e->mailbox.PopAll();
-        if (batch.empty()) return;  // closed and drained
-        for (auto& msg : batch) {
-          if (tracer != nullptr && tracer->enabled()) {
-            tracer->Instant(RealClock::Instance().Now(), self,
-                            TraceOp::kMsgRecv, msg.trace,
-                            static_cast<uint8_t>(msg.type));
-          }
-          e->handler(msg);
-        }
-      }
-    });
+    ep->worker = std::thread(
+        [this, self = id, e = ep.get()] { WorkerLoop(self, e); });
   }
   timer_thread_ = std::thread([this] { TimerLoop(); });
 }
@@ -59,7 +123,13 @@ void ThreadNet::Stop() {
   }
   timer_cv_.notify_all();
   if (timer_thread_.joinable()) timer_thread_.join();
-  for (auto& [id, ep] : endpoints_) ep->mailbox.Close();
+  for (auto& [id, ep] : endpoints_) {
+    {
+      MutexLock lock(ep->mu);
+      ep->closed = true;
+    }
+    WakeFd(ep->wake_fd);
+  }
   for (auto& [id, ep] : endpoints_) {
     if (ep->worker.joinable()) ep->worker.join();
   }
@@ -82,7 +152,173 @@ void ThreadNet::Send(NodeId to, Message msg) {
 bool ThreadNet::Deliver(NodeId to, Message&& msg) {
   auto it = endpoints_.find(to);
   if (it == endpoints_.end()) return false;
-  it->second->mailbox.Push(std::move(msg));
+  Endpoint* e = it->second.get();
+  {
+    MutexLock lock(e->mu);
+    if (e->closed) return true;
+    e->mailbox.push_back(std::move(msg));
+  }
+  e->WakeIfParked();
+  return true;
+}
+
+bool ThreadNet::AdoptConnection(NodeId owner, int fd, const uint8_t* data,
+                                size_t size) {
+  auto it = endpoints_.find(owner);
+  if (it == endpoints_.end()) return false;
+  Endpoint* e = it->second.get();
+  auto conn = std::make_unique<InboundConn>(fd, data, size);
+  {
+    MutexLock lock(e->mu);
+    // After Stop() `conn` dies here and closes the fd.
+    if (e->closed) return true;
+    e->adopted.push_back(std::move(conn));
+  }
+  e->WakeIfParked();
+  return true;
+}
+
+void ThreadNet::Dispatch(NodeId self, Endpoint* e, const Message& msg) {
+  Tracer* tracer = options_.tracer;
+  if (tracer != nullptr && tracer->enabled()) {
+    tracer->Instant(RealClock::Instance().Now(), self, TraceOp::kMsgRecv,
+                    msg.trace, static_cast<uint8_t>(msg.type));
+  }
+  e->handler(msg);
+}
+
+void ThreadNet::WorkerLoop(NodeId self, Endpoint* e) {
+  // Swapped with the mailbox each turn, so both vectors keep their
+  // capacity and a steady stream of messages does not allocate.
+  std::vector<Message> batch;
+  std::vector<std::unique_ptr<InboundConn>> fresh;
+  // The sockets this worker owns; their fds close when the loop returns.
+  std::vector<std::unique_ptr<InboundConn>> conns;
+  auto drop = [&](InboundConn* conn) {
+    ::epoll_ctl(e->epoll_fd, EPOLL_CTL_DEL, conn->fd, nullptr);
+    auto it = std::find_if(conns.begin(), conns.end(),
+                           [conn](const auto& c) { return c.get() == conn; });
+    std::swap(*it, conns.back());
+    conns.pop_back();
+  };
+  epoll_event events[kMaxEvents];
+  for (;;) {
+    bool closed = false;
+    {
+      MutexLock lock(e->mu);
+      batch.swap(e->mailbox);
+      fresh.swap(e->adopted);
+      closed = e->closed;
+    }
+    const bool worked = !batch.empty() || !fresh.empty();
+    for (auto& conn : fresh) {
+      InboundConn* c = conn.get();
+      conns.push_back(std::move(conn));
+      epoll_event ev{};
+      ev.events = EPOLLIN;
+      ev.data.ptr = c;
+      if (::epoll_ctl(e->epoll_fd, EPOLL_CTL_ADD, c->fd, &ev) != 0) {
+        THREEV_LOG(kWarn) << "cannot watch inbound connection: "
+                          << std::strerror(errno);
+        conns.pop_back();
+      } else if (!HandleFrames(self, e, *c)) {
+        drop(c);
+      }
+    }
+    fresh.clear();
+    for (const Message& msg : batch) Dispatch(self, e, msg);
+    batch.clear();
+    // Everything pushed before Stop() closed the mailbox was in this batch.
+    if (closed) return;
+
+    int timeout = 0;
+    if (!worked) {
+      // Park. The worker stores `parked` and then re-checks the mailbox; a
+      // producer pushes and then loads `parked` (Endpoint::WakeIfParked).
+      // Both sides are seq_cst, and the re-check and the push take the
+      // mailbox lock, so one of the two sees the other: if the push came
+      // first the re-check finds the item and the worker does not block;
+      // otherwise the store to `parked` precedes the producer's load, the
+      // producer sees true and writes the eventfd, and epoll_wait returns.
+      // A stale write (the worker woke for a socket meanwhile) only costs
+      // one spurious turn.
+      e->parked.store(true);
+      bool pending = false;
+      {
+        MutexLock lock(e->mu);
+        pending = !e->mailbox.empty() || !e->adopted.empty() || e->closed;
+      }
+      if (pending) {
+        e->parked.store(false);
+        continue;
+      }
+      timeout = -1;
+    } else if (conns.empty()) {
+      continue;  // busy, and no socket to look at
+    }
+    const int n = ::epoll_wait(e->epoll_fd, events, kMaxEvents, timeout);
+    if (timeout < 0) e->parked.store(false);
+    for (int i = 0; i < n; ++i) {
+      auto* conn = static_cast<InboundConn*>(events[i].data.ptr);
+      if (conn == nullptr) {
+        uint64_t count = 0;
+        (void)!::read(e->wake_fd, &count, sizeof(count));
+      } else if (!ReadConnection(self, e, *conn)) {
+        drop(conn);
+      }
+    }
+  }
+}
+
+bool ThreadNet::ReadConnection(NodeId self, Endpoint* e, InboundConn& conn) {
+  // Move the unhandled tail (at most one partial frame) to the front.
+  if (conn.begin > 0) {
+    std::memmove(conn.buf.get(), conn.buf.get() + conn.begin,
+                 conn.end - conn.begin);
+    conn.end -= conn.begin;
+    conn.begin = 0;
+  }
+  const ssize_t n =
+      ::recv(conn.fd, conn.buf.get() + conn.end, conn.cap - conn.end, 0);
+  if (n < 0) return errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR;
+  if (n == 0) return false;  // end of stream
+  conn.end += static_cast<size_t>(n);
+  return HandleFrames(self, e, conn);
+}
+
+bool ThreadNet::HandleFrames(NodeId self, Endpoint* e, InboundConn& conn) {
+  while (conn.end - conn.begin >= kFrameHeaderBytes) {
+    const uint8_t* frame = conn.buf.get() + conn.begin;
+    const FrameHeader h = ParseFrameHeader(frame);
+    if (h.length > kMaxFramePayload) return false;
+    const size_t need = kFrameHeaderBytes + h.length;
+    if (conn.end - conn.begin < need) {
+      if (need > conn.cap) {
+        // Grow to exactly the frame that does not fit.
+        const size_t have = conn.end - conn.begin;
+        std::unique_ptr<uint8_t[]> bigger(new uint8_t[need]);
+        std::memcpy(bigger.get(), frame, have);
+        conn.buf = std::move(bigger);
+        conn.cap = need;
+        conn.begin = 0;
+        conn.end = have;
+      }
+      return true;
+    }
+    conn.begin += need;
+    Result<Message> msg = DecodeMessage(frame + kFrameHeaderBytes, h.length);
+    if (!msg.ok()) {
+      THREEV_LOG(kWarn) << "dropping malformed frame: "
+                        << msg.status().ToString();
+    } else if (h.dest == self) {
+      Dispatch(self, e, *msg);
+    } else if (!Deliver(h.dest, std::move(*msg))) {
+      // An unknown destination is outside input, not a local bug: log and
+      // keep reading this connection.
+      THREEV_LOG(kWarn) << "dropping frame for unknown endpoint " << h.dest;
+    }
+  }
+  if (conn.begin == conn.end) conn.begin = conn.end = 0;
   return true;
 }
 

@@ -151,6 +151,28 @@ void EncodeMessageTo(WireWriter& w, const Message& msg);
 // Deserializes; fails on truncated or malformed input.
 Result<Message> DecodeMessage(const uint8_t* data, size_t size);
 
+// TcpNet frame header: u32 payload length, u32 destination endpoint id,
+// both little-endian like the payload that follows.
+constexpr size_t kFrameHeaderBytes = 8;
+// A header announcing a longer payload is garbage: the receiver closes the
+// connection rather than buffer it.
+constexpr uint32_t kMaxFramePayload = 64u << 20;
+
+struct FrameHeader {
+  uint32_t length;  // payload bytes after the header
+  NodeId dest;
+};
+
+// Reads the header at `p`, which must hold kFrameHeaderBytes.
+inline FrameHeader ParseFrameHeader(const uint8_t* p) {
+  auto u32 = [](const uint8_t* q) {
+    return static_cast<uint32_t>(q[0]) | static_cast<uint32_t>(q[1]) << 8 |
+           static_cast<uint32_t>(q[2]) << 16 |
+           static_cast<uint32_t>(q[3]) << 24;
+  };
+  return FrameHeader{u32(p), u32(p + 4)};
+}
+
 // Bounded free-list of encode buffers, shared by sender threads. Acquire a
 // buffer, EncodeMessageInto it, hand the frame to the socket, Release it
 // back; capacity survives the round trip, so steady-state encoding does

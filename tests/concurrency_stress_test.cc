@@ -1,16 +1,18 @@
 // Concurrency stress tests: many real threads hammering the primitives the
-// protocol layer leans on (BlockingQueue, WaitGroup, Histogram, LockManager,
-// VersionedStore). These exist primarily as tsan fodder - run them under the
-// `tsan` preset to turn latent races into hard failures - but they also
-// assert linearizable end-state invariants (nothing lost, nothing duplicated,
-// lock table empty) so they catch logic races under the default build too.
+// protocol layer leans on (BlockingQueue, the ThreadNet mailbox, WaitGroup,
+// Histogram, LockManager, VersionedStore). These exist primarily as tsan
+// fodder - run them under the `tsan` preset to turn latent races into hard
+// failures - but they also assert linearizable end-state invariants
+// (nothing lost, nothing duplicated, lock table empty) so they catch logic
+// races under the default build too.
 //
 // Registered with ctest label `stress`.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <optional>
 #include <string>
@@ -22,6 +24,7 @@
 #include "threev/lock/lock_manager.h"
 #include "threev/metrics/histogram.h"
 #include "threev/metrics/metrics.h"
+#include "threev/net/thread_net.h"
 #include "threev/storage/versioned_store.h"
 
 namespace threev {
@@ -91,56 +94,124 @@ TEST(ConcurrencyStressTest, BlockingQueueCloseRace) {
   }
 }
 
-// Batch-drain variant: producers race consumers that use PopAll(). Every
-// accepted item must surface in exactly one batch, the final PopAll after
-// Close() must come back empty, and nothing is lost or duplicated.
-TEST(ConcurrencyStressTest, BlockingQueuePopAllManyProducersManyConsumers) {
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 3;
-  constexpr int kPerProducer = 20'000;
+// Per-producer receive state of one ThreadNet endpoint. Written only by
+// the endpoint's worker; producers read `handled` to wait for a burst.
+struct ParkingProbe {
+  static constexpr int kProducers = 4;
+  std::array<std::atomic<uint64_t>, kProducers> handled{};
+  std::atomic<int> out_of_order{0};
 
-  BlockingQueue<int64_t> queue;
-  std::atomic<int64_t> accepted_sum{0};
-  std::atomic<int64_t> popped_sum{0};
-  std::atomic<int64_t> popped_count{0};
-  std::atomic<int64_t> batches{0};
-
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < kConsumers; ++c) {
-    consumers.emplace_back([&] {
-      for (;;) {
-        std::deque<int64_t> batch = queue.PopAll();
-        if (batch.empty()) return;  // closed and drained
-        batches.fetch_add(1, std::memory_order_relaxed);
-        for (int64_t v : batch) {
-          popped_sum.fetch_add(v, std::memory_order_relaxed);
-          popped_count.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
+  // Messages from producer p carry seq 1, 2, ... in send order; the
+  // mailbox is FIFO, so anything else is a lost, duplicated or reordered
+  // message.
+  void Handle(const Message& m) {
+    auto& h = handled[m.from];
+    const uint64_t next = h.load(std::memory_order_relaxed) + 1;
+    if (m.seq != next) out_of_order.fetch_add(1, std::memory_order_relaxed);
+    h.store(m.seq, std::memory_order_release);
   }
+};
+
+Message ProducerMessage(int producer, uint64_t seq) {
+  Message m;
+  m.type = MsgType::kClientSubmit;
+  m.from = static_cast<NodeId>(producer);
+  m.seq = seq;
+  return m;
+}
+
+// Producers send bursts to one ThreadNet endpoint and wait for each burst
+// to be handled before pausing and sending the next, so the worker keeps
+// parking in epoll_wait and nearly every burst starts against a parked
+// worker. A lost wakeup leaves a burst in the mailbox with the worker
+// asleep; the bounded wait turns that hang into a failure.
+TEST(ConcurrencyStressTest, ThreadNetParkingWorkerWakesForEveryBurst) {
+  constexpr int kProducers = ParkingProbe::kProducers;
+  constexpr int kBursts = 150;
+  constexpr auto kBound = std::chrono::seconds(10);
+  ThreadNet net;
+  ParkingProbe probe;
+  net.RegisterEndpoint(0, [&probe](const Message& m) { probe.Handle(m); });
+  net.Start();
+
+  std::atomic<int> stuck{0};
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        int64_t v = static_cast<int64_t>(p) * kPerProducer + i + 1;
-        if (queue.Push(v)) {
-          accepted_sum.fetch_add(v, std::memory_order_relaxed);
+      uint64_t sent = 0;
+      for (int b = 0; b < kBursts; ++b) {
+        const int burst = 1 + (b * 7 + p) % 8;
+        for (int i = 0; i < burst; ++i) net.Send(0, ProducerMessage(p, ++sent));
+        const auto deadline = std::chrono::steady_clock::now() + kBound;
+        while (probe.handled[p].load(std::memory_order_acquire) < sent) {
+          if (std::chrono::steady_clock::now() > deadline) {
+            stuck.fetch_add(1);
+            return;
+          }
+          std::this_thread::sleep_for(std::chrono::microseconds(20));
         }
+        // Long enough for the worker to find the mailbox empty and park.
+        std::this_thread::sleep_for(std::chrono::microseconds(100 + 50 * p));
       }
     });
   }
   for (auto& t : producers) t.join();
-  queue.Close();
-  for (auto& t : consumers) t.join();
+  net.Stop();
 
-  EXPECT_EQ(popped_count.load(), kProducers * kPerProducer);
-  EXPECT_EQ(popped_sum.load(), accepted_sum.load());
-  // Sanity on the batch accounting (no strict ratio asserted - a fully
-  // lockstepped scheduler could legally produce singleton batches).
-  EXPECT_GT(batches.load(), 0);
-  EXPECT_LE(batches.load(), popped_count.load());
-  EXPECT_EQ(queue.size(), 0u);
+  EXPECT_EQ(stuck.load(), 0) << "a burst waited past the bound";
+  EXPECT_EQ(probe.out_of_order.load(), 0);
+  for (int p = 0; p < kProducers; ++p) {
+    uint64_t want = 0;
+    for (int b = 0; b < kBursts; ++b) want += 1 + (b * 7 + p) % 8;
+    EXPECT_EQ(probe.handled[p].load(), want) << "producer " << p;
+  }
+}
+
+// Stop() races producers that are still sending: every handled message
+// is a FIFO prefix of what its producer sent, and no handler runs after
+// Stop() returns.
+TEST(ConcurrencyStressTest, ThreadNetStopWhileProducersSend) {
+  constexpr int kProducers = ParkingProbe::kProducers;
+  for (int round = 0; round < 20; ++round) {
+    ThreadNet net;
+    ParkingProbe probe;
+    std::atomic<bool> stop_returned{false};
+    std::atomic<int> late{0};
+    net.RegisterEndpoint(0, [&](const Message& m) {
+      if (stop_returned.load()) late.fetch_add(1);
+      probe.Handle(m);
+    });
+    net.Start();
+
+    std::atomic<bool> quit{false};
+    std::array<uint64_t, kProducers> sent{};
+    std::vector<std::thread> producers;
+    for (int p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&, p] {
+        uint64_t n = 0;
+        while (!quit.load()) {
+          net.Send(0, ProducerMessage(p, ++n));
+          // Pause now and then so Stop() meets a parked worker too.
+          if (n % 64 == 0) {
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
+          }
+        }
+        sent[p] = n;
+      });
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2 + round % 5));
+    net.Stop();
+    stop_returned.store(true);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    quit.store(true);
+    for (auto& t : producers) t.join();
+
+    EXPECT_EQ(late.load(), 0) << "round " << round;
+    EXPECT_EQ(probe.out_of_order.load(), 0) << "round " << round;
+    for (int p = 0; p < kProducers; ++p) {
+      EXPECT_LE(probe.handled[p].load(), sent[p]) << "round " << round;
+    }
+  }
 }
 
 // Concurrent Record() from many threads; totals must be exact after joins.

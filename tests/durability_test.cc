@@ -762,5 +762,65 @@ TEST(GroupCommitTest, FailedCommitHaltsNodeAndDropsTheMessage) {
             records_on_disk);
 }
 
+// A node that halted itself on a failed commit is dead to the cluster: it
+// is not alive, RestartNode buries it as KillNode would (one crash
+// counted), and the new incarnation recovers the committed state from its
+// log and commits again.
+TEST(GroupCommitTest, NodeHaltedByFailedCommitRestartsFromItsLog) {
+  const std::string dir = TestDir("group_commit_restart");
+  Metrics metrics;
+  SimNet net(SimNetOptions{.seed = 4}, &metrics);
+  ClusterOptions options;
+  options.num_nodes = 2;
+  options.wal_dir = dir;
+  Cluster cluster(options, &net, &metrics);
+
+  int ok_results = 0;
+  auto submit = [&](int64_t amount) {
+    cluster.Submit(0,
+                   TxnBuilder(0)
+                       .Add("acct", amount)
+                       .Child(1, {OpAdd("x", 1)})
+                       .Build(),
+                   [&ok_results](const TxnResult& r) {
+                     if (r.status.ok()) ++ok_results;
+                   });
+  };
+  submit(5);
+  net.loop().RunFor(1'000'000);
+  ASSERT_EQ(ok_results, 1);
+
+  const std::string segment = WriteAheadLog::SegmentPath(
+      dir + "/node-0", cluster.node(0).wal()->current_segment());
+  struct rlimit saved;
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  auto* saved_handler = std::signal(SIGXFSZ, SIG_IGN);
+  struct rlimit lowered = saved;
+  lowered.rlim_cur = static_cast<rlim_t>(fs::file_size(segment));
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &lowered), 0);
+  submit(100);  // its records never reach the disk
+  net.loop().RunFor(1'000'000);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
+  std::signal(SIGXFSZ, saved_handler);
+
+  ASSERT_TRUE(cluster.node(0).halted());
+  EXPECT_FALSE(cluster.node_alive(0));
+  EXPECT_EQ(metrics.node_crashes.load(), 0);
+  const int64_t recoveries = metrics.recoveries.load();
+
+  cluster.RestartNode(0);
+  EXPECT_TRUE(cluster.node_alive(0));
+  EXPECT_FALSE(cluster.node(0).halted());
+  EXPECT_EQ(metrics.node_crashes.load(), 1);
+  EXPECT_EQ(metrics.recoveries.load(), recoveries + 1);
+  EXPECT_EQ(cluster.node(0).store().Read("acct", 1)->num, 5);
+
+  submit(7);
+  net.loop().RunFor(1'000'000);
+  EXPECT_EQ(ok_results, 2);
+  EXPECT_EQ(cluster.node(0).store().Read("acct", 1)->num, 12);
+  EXPECT_TRUE(cluster.CheckInvariants().ok());
+}
+
 }  // namespace
 }  // namespace threev

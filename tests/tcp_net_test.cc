@@ -9,8 +9,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <netinet/tcp.h>
+
 #include <atomic>
 #include <cstring>
+#include <filesystem>
+#include <thread>
 
 #include "threev/common/wait_group.h"
 #include "threev/core/cluster.h"
@@ -56,6 +60,49 @@ void AppendFrame(std::vector<uint8_t>* out, NodeId dest, const Message& m) {
   }
   out->insert(out->end(), header.begin(), header.end());
   out->insert(out->end(), payload.begin(), payload.end());
+}
+
+// A raw client socket connected to a loopback port, with Nagle off so each
+// send() leaves as its own segment.
+int ConnectRaw(uint16_t port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  return fd;
+}
+
+void SendAllRaw(int fd, const std::vector<uint8_t>& bytes) {
+  size_t sent = 0;
+  while (sent < bytes.size()) {
+    ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
+                       MSG_NOSIGNAL);
+    ASSERT_GT(n, 0);
+    sent += static_cast<size_t>(n);
+  }
+}
+
+Message SeqMessage(uint64_t seq) {
+  Message m;
+  m.type = MsgType::kClientSubmit;
+  m.seq = seq;
+  return m;
+}
+
+size_t ThreadsInProcess() {
+  size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
 }
 
 class TcpClusterTest : public ::testing::Test {
@@ -333,6 +380,159 @@ TEST(TcpNetTest, BytesSentIsFrameSizeForRemoteSends) {
   receiver.Stop();
   EXPECT_EQ(sender_metrics.messages_sent.load(), 4);
   EXPECT_EQ(sender_metrics.bytes_sent.load(), expected);
+}
+
+// A single-endpoint TcpNet on a free loopback port whose handler appends
+// each message's seq to `seqs` (read it only after Stop(), which joins the
+// worker) and counts arrivals in `wg`. Tests stop the net before closing
+// their raw sockets, so TIME_WAIT lands on the net's side and not on an
+// ephemeral client port that TcpClusterTest might later want to bind.
+class TcpReceiveTest : public ::testing::Test {
+ protected:
+  void StartNet(std::vector<NodeId> endpoints, int expected) {
+    port_ = FreePorts(1)[0];
+    std::map<NodeId, std::string> peers;
+    for (NodeId id : endpoints) {
+      peers[id] = "127.0.0.1:" + std::to_string(port_);
+    }
+    net_ = std::make_unique<TcpNet>(
+        TcpNetOptions{.peers = peers, .listen_port = port_});
+    wg_.Add(expected);
+    for (NodeId id : endpoints) {
+      net_->RegisterEndpoint(id, [this, id](const Message& m) {
+        {
+          MutexLock lock(mu_);
+          seqs_[id].push_back(m.seq);
+        }
+        wg_.Done();
+      });
+    }
+    ASSERT_TRUE(net_->Start().ok());
+  }
+
+  bool Arrived() { return wg_.WaitFor(std::chrono::milliseconds(15'000)); }
+
+  std::vector<uint64_t> Seqs(NodeId id) {
+    MutexLock lock(mu_);
+    return seqs_[id];
+  }
+
+  uint16_t port_ = 0;
+  std::unique_ptr<TcpNet> net_;
+  WaitGroup wg_;
+  Mutex mu_;
+  std::map<NodeId, std::vector<uint64_t>> seqs_;
+};
+
+// Frames cut into one-byte segments are reassembled both before the
+// connection is routed (the accept thread's header read) and after (the
+// worker's buffer).
+TEST_F(TcpReceiveTest, FrameSentOneBytePerSendIsReassembled) {
+  StartNet({0}, 2);
+  std::vector<uint8_t> bytes;
+  AppendFrame(&bytes, 0, SeqMessage(1));
+  AppendFrame(&bytes, 0, SeqMessage(2));
+  int fd = ConnectRaw(port_);
+  for (uint8_t b : bytes) {
+    ASSERT_EQ(::send(fd, &b, 1, MSG_NOSIGNAL), 1);
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  ASSERT_TRUE(Arrived());
+  net_->Stop();
+  ::close(fd);
+  EXPECT_EQ(Seqs(0), (std::vector<uint64_t>{1, 2}));
+}
+
+TEST_F(TcpReceiveTest, ThousandFramesInOneSendArriveInOrder) {
+  constexpr uint64_t kFrames = 1000;
+  StartNet({0}, kFrames);
+  std::vector<uint8_t> bytes;
+  std::vector<uint64_t> want;
+  for (uint64_t seq = 1; seq <= kFrames; ++seq) {
+    AppendFrame(&bytes, 0, SeqMessage(seq));
+    want.push_back(seq);
+  }
+  int fd = ConnectRaw(port_);
+  SendAllRaw(fd, bytes);
+  ASSERT_TRUE(Arrived());
+  net_->Stop();
+  ::close(fd);
+  EXPECT_EQ(Seqs(0), want);
+}
+
+// A frame far larger than a connection's initial receive buffer grows the
+// buffer to fit, before routing and after.
+TEST_F(TcpReceiveTest, FramesLargerThanTheReceiveBufferAreDelivered) {
+  StartNet({0}, 3);
+  Message big = SeqMessage(1);
+  Value v;
+  v.str.assign(200'000, 'x');
+  big.reads.emplace_back("k", v);
+  std::vector<uint8_t> bytes;
+  AppendFrame(&bytes, 0, big);
+  AppendFrame(&bytes, 0, SeqMessage(2));
+  big.seq = 3;
+  big.reads[0].second.str.assign(300'000, 'y');
+  AppendFrame(&bytes, 0, big);
+  int fd = ConnectRaw(port_);
+  SendAllRaw(fd, bytes);
+  ASSERT_TRUE(Arrived());
+  net_->Stop();
+  ::close(fd);
+  EXPECT_EQ(Seqs(0), (std::vector<uint64_t>{1, 2, 3}));
+}
+
+// The accept thread waits on every unrouted connection at once: a peer
+// that connects and never speaks holds up nobody.
+TEST_F(TcpReceiveTest, SilentConnectionDoesNotDelayAnotherPeer) {
+  StartNet({0}, 1);
+  int silent = ConnectRaw(port_);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  int fd = ConnectRaw(port_);
+  std::vector<uint8_t> bytes;
+  AppendFrame(&bytes, 0, SeqMessage(7));
+  SendAllRaw(fd, bytes);
+  ASSERT_TRUE(Arrived());
+  net_->Stop();
+  ::close(fd);
+  ::close(silent);
+  EXPECT_EQ(Seqs(0), (std::vector<uint64_t>{7}));
+}
+
+// A connection belongs to the endpoint its first frame names; a later
+// frame on it for another local endpoint still reaches that endpoint.
+TEST_F(TcpReceiveTest, FrameForAnotherLocalEndpointOnRoutedConnection) {
+  StartNet({0, 1}, 3);
+  std::vector<uint8_t> bytes;
+  AppendFrame(&bytes, 0, SeqMessage(1));
+  AppendFrame(&bytes, 1, SeqMessage(2));
+  AppendFrame(&bytes, 0, SeqMessage(3));
+  int fd = ConnectRaw(port_);
+  SendAllRaw(fd, bytes);
+  ASSERT_TRUE(Arrived());
+  net_->Stop();
+  ::close(fd);
+  EXPECT_EQ(Seqs(0), (std::vector<uint64_t>{1, 3}));
+  EXPECT_EQ(Seqs(1), (std::vector<uint64_t>{2}));
+}
+
+// No thread per connection: the destination's worker reads its sockets.
+TEST_F(TcpReceiveTest, ThreadCountDoesNotGrowWithInboundConnections) {
+  constexpr int kConns = 8;
+  StartNet({0}, kConns);
+  const size_t idle = ThreadsInProcess();
+  std::vector<int> fds;
+  for (int i = 0; i < kConns; ++i) {
+    fds.push_back(ConnectRaw(port_));
+    std::vector<uint8_t> bytes;
+    AppendFrame(&bytes, 0, SeqMessage(static_cast<uint64_t>(i)));
+    SendAllRaw(fds.back(), bytes);
+  }
+  ASSERT_TRUE(Arrived());
+  EXPECT_EQ(ThreadsInProcess(), idle);
+  net_->Stop();
+  for (int fd : fds) ::close(fd);
+  EXPECT_EQ(Seqs(0).size(), static_cast<size_t>(kConns));
 }
 
 }  // namespace

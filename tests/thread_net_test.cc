@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <thread>
 
+#include "threev/common/queue.h"
 #include "threev/common/wait_group.h"
 #include "threev/core/cluster.h"
 #include "threev/net/thread_net.h"

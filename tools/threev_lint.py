@@ -65,6 +65,13 @@ analysis can express, because they live above the type system:
                      before a message leaves: log before externalize
                      (DESIGN.md section 9), enforced by structure.
 
+  net-threads        Under net/, a std::thread is constructed only in
+                     ThreadNet::Start (endpoint workers, timer) and
+                     TcpNet::Start (accept), and no container of threads
+                     is declared. An endpoint's worker reads its own
+                     inbound sockets; a thread per connection must not
+                     come back.
+
 Usage:
   tools/threev_lint.py [--root REPO_ROOT]   lint the tree (exit 1 on findings)
   tools/threev_lint.py --self-test          run the seeded-violation tests
@@ -657,6 +664,45 @@ def check_node_send(files):
     return findings
 
 
+# ---------------------------------------------------------------------------
+# Rule: net threads. The transports run a fixed set of threads: one worker
+# per endpoint and a timer (ThreadNet::Start) plus an accept thread
+# (TcpNet::Start). Inbound sockets belong to the destination's worker
+# (DESIGN.md section 6), so a thread constructed anywhere else under net/ -
+# or a container of threads, which constructs them in emplace_back - is a
+# thread per connection (or per something) creeping back.
+
+NET_DIR = "src/threev/net/"
+THREAD_START_FUNCS = ("ThreadNet::Start", "TcpNet::Start")
+# `std::thread(`/`std::thread{` (a temporary) or `std::thread name(`/`{`.
+THREAD_CTOR_RE = re.compile(r"\bstd::j?thread\s*(?:\w+\s*)?[({]")
+THREAD_CONTAINER_RE = re.compile(r"<\s*std::j?thread\s*>")
+
+
+def check_net_threads(files):
+    findings = []
+    for f in files:
+        path = f.path.replace(os.sep, "/")
+        if not path.startswith(NET_DIR):
+            continue
+        spans = [span for span in (function_body_span(f.code, name)
+                                   for name in THREAD_START_FUNCS)
+                 if span is not None]
+        for m in THREAD_CTOR_RE.finditer(f.code):
+            if not any(a <= m.start() < b for a, b in spans):
+                findings.append(Finding(
+                    "net-threads", path, f.line_of(m.start()),
+                    "std::thread constructed outside ThreadNet::Start / "
+                    "TcpNet::Start; inbound sockets belong to the "
+                    "destination's worker, not to a thread of their own"))
+        for m in THREAD_CONTAINER_RE.finditer(f.code):
+            findings.append(Finding(
+                "net-threads", path, f.line_of(m.start()),
+                "container of std::thread under net/: the transports run "
+                "a fixed set of threads"))
+    return findings
+
+
 RULES = [
     check_wire_symmetry,
     check_lock_blocking,
@@ -667,6 +713,7 @@ RULES = [
     check_metrics_observability,
     check_message_fields,
     check_node_send,
+    check_net_threads,
 ]
 
 
@@ -1053,6 +1100,66 @@ void Node::OnPrepare(const Message& msg) {
 """)
     expect("node without Node::Send", check_node_send([node_no_choke]),
            "node-send", True)
+
+    # --- net threads ------------------------------------------------------
+    net_ok = [
+        _mkfile("src/threev/net/thread_net.cc", """
+void ThreadNet::Start() {
+  for (auto& [id, ep] : endpoints_) {
+    ep->worker = std::thread([this] { WorkerLoop(); });
+  }
+  timer_thread_ = std::thread([this] { TimerLoop(); });
+}
+"""),
+        _mkfile("src/threev/net/tcp_net.cc", """
+Status TcpNet::Start() {
+  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  return Status::Ok();
+}
+"""),
+        _mkfile("src/threev/net/tcp_net.h", "  std::thread accept_thread_;\n"),
+        # Outside net/ the rule does not apply.
+        _mkfile("src/threev/core/pool.cc",
+                "std::vector<std::thread> pool;\n"
+                "pool.emplace_back([] {});\n"),
+    ]
+    expect("threads only in the Start functions", check_net_threads(net_ok),
+           "net-threads", False)
+    # Seed: a reader thread per accepted connection.
+    reader_per_conn = _mkfile("src/threev/net/tcp_net.cc", """
+Status TcpNet::Start() {
+  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  return Status::Ok();
+}
+void TcpNet::AcceptLoop() {
+  int fd = ::accept(lfd, nullptr, nullptr);
+  reader_threads_.emplace_back([this, fd] { ReaderLoop(fd); });
+}
+""")
+    reader_decl = _mkfile(
+        "src/threev/net/tcp_net.h",
+        "  std::vector<std::thread> reader_threads_ GUARDED_BY(mu_);\n")
+    expect("container of threads under net/",
+           check_net_threads([reader_per_conn, reader_decl]),
+           "net-threads", True)
+    named_thread = _mkfile("src/threev/net/tcp_net.cc", """
+void TcpNet::AcceptLoop() {
+  std::thread reader([this, fd] { ReaderLoop(fd); });
+  reader.detach();
+}
+""")
+    expect("named thread outside the Start functions",
+           check_net_threads([named_thread]), "net-threads", True)
+    temp_thread = _mkfile("src/threev/net/thread_net.cc", """
+void ThreadNet::Start() {
+  timer_thread_ = std::thread([this] { TimerLoop(); });
+}
+void ThreadNet::Deliver(NodeId to, Message&& msg) {
+  std::thread([e] { e->handler(msg); }).detach();
+}
+""")
+    expect("temporary thread outside the Start functions",
+           check_net_threads([temp_thread]), "net-threads", True)
 
     # --- stripping machinery ---------------------------------------------
     stripped = strip_comments_and_strings(
