@@ -90,9 +90,9 @@ void SeedStore(VersionedStore& store, size_t nkeys,
   }
 }
 
-// `threads` readers hammering a small hot key set: the frozen-vr read path
-// under contention. Before this PR every read serialized on its shard
-// mutex; the optimized path must take no exclusive lock.
+// `threads` readers hammering a small hot key set: the frozen-vr read path.
+// A node's store has one writer, its owner thread; concurrent const reads
+// with no writer are safe and take no lock, so the row scales with threads.
 HotpathResult BenchStoreReadHot(size_t threads, int64_t batches) {
   VersionedStore store;
   std::vector<std::string> keys;
@@ -120,9 +120,9 @@ HotpathResult BenchStoreReadHot(size_t threads, int64_t batches) {
 
 // Same hot key set through ReadInto: the allocation-free entry point the
 // protocol layer (node.cc kGet) actually uses. Reuses one Value across
-// calls, so a fast-slot hit does no heap work at all - this row is the
-// honest end-to-end hot-path number; store_read_hot keeps the Read API
-// comparable with the committed pre-optimization baseline.
+// calls, so a hit on a value of stable shape does no heap work at all -
+// this row is the honest end-to-end hot-path number; store_read_hot keeps
+// the Read API comparable with the committed pre-optimization baseline.
 HotpathResult BenchStoreReadIntoHot(size_t threads, int64_t batches) {
   VersionedStore store;
   std::vector<std::string> keys;
@@ -213,46 +213,6 @@ HotpathResult BenchStoreReadSpread(int64_t batches) {
     }
   };
   return RunThreads("store_read_spread", 1, batches, lat, body);
-}
-
-// Readers scanning while one writer applies commuting updates: mixed
-// traffic across the reader/writer split.
-HotpathResult BenchStoreReadWhileWrite(size_t threads, int64_t batches) {
-  VersionedStore store;
-  std::vector<std::string> keys;
-  SeedStore(store, 64, keys);
-  Histogram lat;
-  std::atomic<bool> stop{false};
-  std::thread writer([&] {
-    Rng rng(99);
-    while (!stop.load(std::memory_order_relaxed)) {
-      const std::string& key = keys[rng.Uniform(keys.size())];
-      Operation op = OpAdd(key, 1);
-      (void)store.Update(key, 1, op);
-    }
-  });
-  auto body = [&](size_t tid) {
-    Rng rng(2000 + tid);
-    std::vector<size_t> order(1024);
-    for (auto& i : order) i = rng.Uniform(keys.size());
-    size_t pos = 0;
-    for (int64_t b = 0; b < batches; ++b) {
-      Clock::time_point t0 = Clock::now();
-      int64_t sink = 0;
-      for (int i = 0; i < kBatch; ++i) {
-        Result<Value> v = store.Read(keys[order[pos]], 1);
-        if (v.ok()) sink += v->num;
-        pos = (pos + 1) & 1023;
-      }
-      lat.Record(ElapsedNs(t0) / kBatch);
-      if (sink == -1) std::abort();
-    }
-  };
-  HotpathResult r =
-      RunThreads("store_read_while_write", threads, batches, lat, body);
-  stop.store(true, std::memory_order_relaxed);
-  writer.join();
-  return r;
 }
 
 // Phase-4 garbage collection at the audit_tcp shape: 13.3k keys per node,
@@ -608,7 +568,6 @@ int Main(int argc, char** argv) {
   run([&] { return BenchStoreReadIntoHot(read_threads, scale); });
   run([&] { return BenchStoreReadIntoTracedOff(read_threads, scale); });
   run([&] { return BenchStoreReadSpread(scale); });
-  run([&] { return BenchStoreReadWhileWrite(read_threads, scale / 2); });
   run([&] { return BenchStoreGc(scale / 40); });
   run([&] { return BenchWireEncode(scale / 4); });
   run([&] { return BenchWireEncodePooled(scale / 4); });

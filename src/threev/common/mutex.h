@@ -3,7 +3,6 @@
 
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 #include "threev/common/thread_annotations.h"
 
@@ -63,58 +62,6 @@ class SCOPED_CAPABILITY MutexLock {
 // only accepts std::unique_lock<std::mutex>, so the annotated tree uses the
 // _any variant, which waits on any BasicLockable - including MutexLock.
 using CondVar = std::condition_variable_any;
-
-// Reader/writer lock for read-mostly striped state (the versioned store's
-// shards): many concurrent shared holders, one exclusive holder. Carries
-// the same clang capability as Mutex, so GUARDED_BY members may be read
-// under a shared hold and written only under an exclusive one - the
-// analysis enforces the split. Like Mutex, this is the only place
-// std::shared_mutex may appear (tools/threev_lint.py bans it elsewhere).
-class CAPABILITY("mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() ACQUIRE() { mu_.lock(); }
-  void unlock() RELEASE() { mu_.unlock(); }
-  void lock_shared() ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void unlock_shared() RELEASE_SHARED() { mu_.unlock_shared(); }
-
- private:
-  std::shared_mutex mu_;
-};
-
-// RAII exclusive hold on a SharedMutex (the writer side).
-class SCOPED_CAPABILITY SharedMutexLock {
- public:
-  explicit SharedMutexLock(SharedMutex& mu) ACQUIRE(mu) : mu_(mu) {
-    mu_.lock();
-  }
-  ~SharedMutexLock() RELEASE() { mu_.unlock(); }
-
-  SharedMutexLock(const SharedMutexLock&) = delete;
-  SharedMutexLock& operator=(const SharedMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-// RAII shared hold on a SharedMutex (the reader side). Guarded data may be
-// read but not written while one is in scope.
-class SCOPED_CAPABILITY ReaderMutexLock {
- public:
-  explicit ReaderMutexLock(SharedMutex& mu) ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.lock_shared();
-  }
-  ~ReaderMutexLock() RELEASE() { mu_.unlock_shared(); }
-
-  ReaderMutexLock(const ReaderMutexLock&) = delete;
-  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
 
 }  // namespace threev
 

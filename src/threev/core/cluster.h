@@ -130,10 +130,11 @@ class Cluster {
   Client& client() { return *client_; }
 
   // --- crash/restart orchestration -----------------------------------
-  // Halts node i and takes it off the network: queued timers go dead,
-  // in-flight messages to it are dropped. The dead Node object is parked
-  // in a graveyard (not destroyed) so callbacks it captured stay valid.
-  // No-op if already dead.
+  // Halts node i and takes it off the network: in-flight messages to it are
+  // dropped, and its queued timers reach either the halted node or a
+  // restarted one that never armed their tokens. The dead Node object is
+  // parked in a graveyard (not destroyed) so the handler still registered
+  // for it stays valid. No-op if already dead.
   void KillNode(size_t i) EXCLUDES(mu_);
   // Constructs a fresh Node over the same wal_dir - running crash
   // recovery in its constructor - and re-registers the endpoint (a new
@@ -188,8 +189,9 @@ class Cluster {
   // threads concurrently with accessors reading the slots.
   mutable Mutex mu_;
   std::vector<std::unique_ptr<Node>> nodes_ GUARDED_BY(mu_);
-  // Killed incarnations, kept alive so timer callbacks capturing them
-  // remain safe to invoke (they check halted() and return).
+  // Killed incarnations, kept alive so the handler still registered for a
+  // killed node (which SimNet timers reach) stays safe to invoke: it checks
+  // halted() and returns.
   std::vector<std::unique_ptr<Node>> graveyard_ GUARDED_BY(mu_);
   std::unique_ptr<AdvanceCoordinator> coordinator_;
   std::unique_ptr<Client> client_;

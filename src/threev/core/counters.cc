@@ -18,30 +18,25 @@ const CounterTable::Row* CounterTable::FindRow(Version v) const {
 }
 
 void CounterTable::IncR(Version v, NodeId to) {
-  MutexLock lock(mu_);
   RowFor(v).r[to] += 1;
 }
 
 void CounterTable::IncC(Version v, NodeId from) {
-  MutexLock lock(mu_);
   RowFor(v).c[from] += 1;
 }
 
 int64_t CounterTable::R(Version v, NodeId to) const {
-  MutexLock lock(mu_);
   const Row* row = FindRow(v);
   return row == nullptr ? 0 : row->r[to];
 }
 
 int64_t CounterTable::C(Version v, NodeId from) const {
-  MutexLock lock(mu_);
   const Row* row = FindRow(v);
   return row == nullptr ? 0 : row->c[from];
 }
 
 std::vector<std::pair<NodeId, int64_t>> CounterTable::SnapshotR(
     Version v) const {
-  MutexLock lock(mu_);
   std::vector<std::pair<NodeId, int64_t>> out;
   const Row* row = FindRow(v);
   for (NodeId q = 0; q < num_nodes_; ++q) {
@@ -52,7 +47,6 @@ std::vector<std::pair<NodeId, int64_t>> CounterTable::SnapshotR(
 
 std::vector<std::pair<NodeId, int64_t>> CounterTable::SnapshotC(
     Version v) const {
-  MutexLock lock(mu_);
   std::vector<std::pair<NodeId, int64_t>> out;
   const Row* row = FindRow(v);
   for (NodeId o = 0; o < num_nodes_; ++o) {
@@ -63,7 +57,6 @@ std::vector<std::pair<NodeId, int64_t>> CounterTable::SnapshotC(
 
 void CounterTable::Restore(Version v, const std::vector<int64_t>& r,
                            const std::vector<int64_t>& c) {
-  MutexLock lock(mu_);
   Row& row = RowFor(v);
   for (size_t i = 0; i < num_nodes_; ++i) {
     row.r[i] = i < r.size() ? r[i] : 0;
@@ -72,12 +65,10 @@ void CounterTable::Restore(Version v, const std::vector<int64_t>& r,
 }
 
 void CounterTable::DropBelow(Version v) {
-  MutexLock lock(mu_);
   rows_.erase(rows_.begin(), rows_.lower_bound(v));
 }
 
 std::vector<Version> CounterTable::ActiveVersions() const {
-  MutexLock lock(mu_);
   std::vector<Version> out;
   for (const auto& [v, row] : rows_) out.push_back(v);
   return out;

@@ -7,8 +7,6 @@
 #include <vector>
 
 #include "threev/common/ids.h"
-#include "threev/common/mutex.h"
-#include "threev/common/thread_annotations.h"
 
 namespace threev {
 
@@ -24,8 +22,9 @@ namespace threev {
 // snapshots and declares version-v quiescence when R(v)[p][q] == C(v)[p][q]
 // for every pair (see AdvanceCoordinator and DESIGN.md section 5).
 //
-// All increments are individually atomic (per the paper's only concurrency
-// assumption about these variables); version rows are created lazily.
+// The owning node's thread is the table's only user (DESIGN.md section 6),
+// so every increment is trivially atomic - the paper's only concurrency
+// assumption about these variables. Version rows are created lazily.
 class CounterTable {
  public:
   explicit CounterTable(size_t num_nodes) : num_nodes_(num_nodes) {}
@@ -34,30 +33,28 @@ class CounterTable {
   CounterTable& operator=(const CounterTable&) = delete;
 
   // R(v)[me][to] += 1.
-  void IncR(Version v, NodeId to) EXCLUDES(mu_);
+  void IncR(Version v, NodeId to);
   // C(v)[from][me] += 1.
-  void IncC(Version v, NodeId from) EXCLUDES(mu_);
+  void IncC(Version v, NodeId from);
 
-  int64_t R(Version v, NodeId to) const EXCLUDES(mu_);
-  int64_t C(Version v, NodeId from) const EXCLUDES(mu_);
+  int64_t R(Version v, NodeId to) const;
+  int64_t C(Version v, NodeId from) const;
 
   // Snapshots for kCounterReadReply: (peer, count) for every peer.
-  std::vector<std::pair<NodeId, int64_t>> SnapshotR(Version v) const
-      EXCLUDES(mu_);
-  std::vector<std::pair<NodeId, int64_t>> SnapshotC(Version v) const
-      EXCLUDES(mu_);
+  std::vector<std::pair<NodeId, int64_t>> SnapshotR(Version v) const;
+  std::vector<std::pair<NodeId, int64_t>> SnapshotC(Version v) const;
 
   // Garbage-collects counters of versions < v (phase 4).
-  void DropBelow(Version v) EXCLUDES(mu_);
+  void DropBelow(Version v);
 
   // Recovery: installs a checkpointed row wholesale (rows are truncated or
   // zero-padded to the table's node count). Subsequent WAL counter deltas
   // replay on top via IncR/IncC.
   void Restore(Version v, const std::vector<int64_t>& r,
-               const std::vector<int64_t>& c) EXCLUDES(mu_);
+               const std::vector<int64_t>& c);
 
   // Active version numbers with allocated counters (ascending).
-  std::vector<Version> ActiveVersions() const EXCLUDES(mu_);
+  std::vector<Version> ActiveVersions() const;
 
  private:
   struct Row {
@@ -65,12 +62,11 @@ class CounterTable {
     std::vector<int64_t> c;
   };
 
-  Row& RowFor(Version v) REQUIRES(mu_);
-  const Row* FindRow(Version v) const REQUIRES(mu_);
+  Row& RowFor(Version v);
+  const Row* FindRow(Version v) const;
 
   size_t num_nodes_;
-  mutable Mutex mu_;
-  std::map<Version, Row> rows_ GUARDED_BY(mu_);
+  std::map<Version, Row> rows_;
 };
 
 }  // namespace threev

@@ -14,6 +14,26 @@ namespace {
 // Size of one kSeqReserve block: a restarted node resumes its id sequences
 // at the reserved ceiling, so up to this many ids are skipped per restart.
 constexpr uint64_t kSeqReserveBlock = 4096;
+
+// Timer tokens, unique across every node and incarnation in the process.
+std::atomic<uint64_t> next_timer_token{1};
+
+// HandleMessage's owner-thread check: marks the node busy for the scope of
+// one handler and aborts if another thread already is.
+class HandlerScope {
+ public:
+  HandlerScope(std::atomic<bool>& busy, NodeId node) : busy_(busy) {
+    THREEV_CHECK(!busy_.exchange(true, std::memory_order_acquire))
+        << "node " << node << ": two threads ran its handler at once";
+  }
+  ~HandlerScope() { busy_.store(false, std::memory_order_release); }
+
+  HandlerScope(const HandlerScope&) = delete;
+  HandlerScope& operator=(const HandlerScope&) = delete;
+
+ private:
+  std::atomic<bool>& busy_;
+};
 }  // namespace
 
 Node::Node(const NodeOptions& options, Network* network, Metrics* metrics,
@@ -49,11 +69,11 @@ void Node::RecoverFromLog() {
       << "node " << options_.id << ": recovery failed: "
       << recovered.status().ToString();
 
-  vu_ = recovered->vu;
-  vr_ = recovered->vr;
+  vu_.store(recovered->vu, std::memory_order_relaxed);
+  vr_.store(recovered->vr, std::memory_order_relaxed);
   // The recovered read version's freeze time is not logged: after a
   // restart, staleness counts from the restart.
-  if (vu_ > 1) frozen_time_[PrevVersion(vu_)] = network_->Now();
+  if (vu() > 1) frozen_time_[PrevVersion(vu())] = network_->Now();
   next_txn_seq_ = recovered->seq_floor;
   next_subtxn_seq_ = recovered->seq_floor;
   seq_reserved_until_ = recovered->seq_floor;
@@ -130,19 +150,16 @@ void Node::RecoverFromLog() {
 void Node::ArmRecoveryDecisionRetry() {
   if (options_.twopc_retry_interval <= 0) return;
   ScheduleAfter(options_.twopc_retry_interval, [this] {
+    if (recovered_decisions_.empty()) return;
     std::vector<std::pair<NodeId, Message>> resend;
-    {
-      MutexLock lock(mu_);
-      if (recovered_decisions_.empty()) return;
-      for (const auto& [txn, state] : recovered_decisions_) {
-        for (NodeId p : state.second) {
-          Message m;
-          m.type = MsgType::kDecision;
-          m.from = options_.id;
-          m.txn = txn;
-          m.flag = state.first;
-          resend.emplace_back(p, std::move(m));
-        }
+    for (const auto& [txn, state] : recovered_decisions_) {
+      for (NodeId p : state.second) {
+        Message m;
+        m.type = MsgType::kDecision;
+        m.from = options_.id;
+        m.txn = txn;
+        m.flag = state.first;
+        resend.emplace_back(p, std::move(m));
       }
     }
     if (metrics_ != nullptr && !resend.empty()) {
@@ -156,13 +173,11 @@ void Node::ArmRecoveryDecisionRetry() {
 
 void Node::LogRecord(const WalRecord& rec, bool force) {
   if (wal_ == nullptr) return;
-  MutexLock lock(wal_mu_);
   Status s = wal_->Append(rec, force);
   if (!s.ok()) HaltOnLogFailure(s);
 }
 
 bool Node::CommitLog() {
-  MutexLock lock(wal_mu_);
   Status s = wal_->Commit();
   if (!s.ok()) HaltOnLogFailure(s);
   return s.ok();
@@ -180,18 +195,25 @@ void Node::HaltOnLogFailure(const Status& s) {
 }
 
 void Node::Send(NodeId to, Message&& m) {
-  // Log before externalize: every frame staged so far - whichever thread
-  // staged it - reaches the OS before this message can.
+  // Log before externalize: every frame staged so far reaches the OS
+  // before this message can.
   if (wal_ != nullptr && !CommitLog()) return;
   network_->Send(to, std::move(m));
 }
 
 void Node::ScheduleAfter(Micros delay, std::function<void()> fn) {
-  network_->ScheduleAfter(delay, [this, fn = std::move(fn)] {
-    if (halted_.load(std::memory_order_acquire)) return;
-    fn();
-    if (wal_ != nullptr) CommitLog();
-  });
+  const uint64_t token =
+      next_timer_token.fetch_add(1, std::memory_order_relaxed);
+  timers_.emplace(token, std::move(fn));
+  network_->ScheduleTimer(options_.id, delay, token);
+}
+
+void Node::OnTimer(const Message& msg) {
+  auto it = timers_.find(msg.seq);
+  if (it == timers_.end()) return;
+  std::function<void()> fn = std::move(it->second);
+  timers_.erase(it);
+  fn();
 }
 
 void Node::LogCounter(Version v, bool is_r, NodeId peer) {
@@ -204,7 +226,7 @@ void Node::LogCounter(Version v, bool is_r, NodeId peer) {
   LogRecord(rec);
 }
 
-void Node::ReserveSeqsLocked() {
+void Node::ReserveSeqs() {
   if (wal_ == nullptr) return;
   uint64_t next = std::max(next_txn_seq_, next_subtxn_seq_);
   if (next < seq_reserved_until_) return;
@@ -219,24 +241,20 @@ Status Node::WriteCheckpoint() {
   if (wal_ == nullptr) {
     return Status::FailedPrecondition("durability disabled");
   }
-  CheckpointData ck;
-  {
-    MutexLock lock(mu_);
-    if (!pending_.empty() || !nc_txns_.empty() || !gate_waiters_.empty()) {
-      return Status::FailedPrecondition(
-          "node " + std::to_string(options_.id) +
-          " not quiescent: " + std::to_string(pending_.size()) +
-          " pending, " + std::to_string(nc_txns_.size()) + " nc txns");
-    }
-    ck.vu = vu_;
-    ck.vr = vr_;
-    ck.seq_floor = seq_reserved_until_;
+  if (!pending_.empty() || !nc_txns_.empty() || !gate_waiters_.empty()) {
+    return Status::FailedPrecondition(
+        "node " + std::to_string(options_.id) +
+        " not quiescent: " + std::to_string(pending_.size()) +
+        " pending, " + std::to_string(nc_txns_.size()) + " nc txns");
   }
+  CheckpointData ck;
+  ck.vu = vu();
+  ck.vr = vr();
+  ck.seq_floor = seq_reserved_until_;
   {
     // Rotate first: every record from here on lands in a segment the
     // checkpoint does not cover, so non-idempotent counter deltas are
     // replayed exactly once.
-    MutexLock lock(wal_mu_);
     Status s = wal_->RotateSegment();
     if (!s.ok()) return s;
     ck.wal_segment = wal_->current_segment();
@@ -266,33 +284,25 @@ Status Node::WriteCheckpoint() {
     tracer_->Instant(network_->Now(), options_.id, TraceOp::kCheckpoint,
                      TraceContext{}, 0, static_cast<int64_t>(bytes));
   }
-  MutexLock lock(wal_mu_);
   return wal_->TruncateBefore(ck.wal_segment);
 }
 
 void Node::ArmTwopcRetry(TxnId txn) {
   if (options_.twopc_retry_interval <= 0) return;
   ScheduleAfter(options_.twopc_retry_interval, [this, txn] {
-    std::vector<NodeId> targets;
-    bool prepare = false;
-    bool commit = true;
-    TraceContext twopc_trace;
-    {
-      MutexLock lock(mu_);
-      auto rit = nc_roots_.find(txn);
-      if (rit == nc_roots_.end()) return;  // root resolved: watchdog dies
-      auto pit = pending_.find(rit->second);
-      if (pit == pending_.end()) return;
-      const PendingSubtxn& rec = pit->second;
-      twopc_trace = rec.twopc_trace;
-      if (!rec.vote_waiting.empty()) {
-        prepare = true;
-        targets.assign(rec.vote_waiting.begin(), rec.vote_waiting.end());
-      } else {
-        targets.assign(rec.ack_waiting.begin(), rec.ack_waiting.end());
-        commit = rec.commit;
-      }
-    }
+    auto rit = nc_roots_.find(txn);
+    if (rit == nc_roots_.end()) return;  // root resolved: watchdog dies
+    auto pit = pending_.find(rit->second);
+    if (pit == pending_.end()) return;
+    const PendingSubtxn& rec = pit->second;
+    const TraceContext twopc_trace = rec.twopc_trace;
+    const bool prepare = !rec.vote_waiting.empty();
+    const bool commit = rec.commit;
+    const std::vector<NodeId> targets =
+        prepare ? std::vector<NodeId>(rec.vote_waiting.begin(),
+                                      rec.vote_waiting.end())
+                : std::vector<NodeId>(rec.ack_waiting.begin(),
+                                      rec.ack_waiting.end());
     if (!targets.empty() && metrics_ != nullptr) {
       metrics_->twopc_retransmits.fetch_add(
           static_cast<int64_t>(targets.size()), std::memory_order_relaxed);
@@ -310,26 +320,10 @@ void Node::ArmTwopcRetry(TxnId txn) {
   });
 }
 
-Version Node::vu() const {
-  MutexLock lock(mu_);
-  return vu_;
-}
-
-Version Node::vr() const {
-  MutexLock lock(mu_);
-  return vr_;
-}
-
-size_t Node::PendingSubtxns() const {
-  MutexLock lock(mu_);
-  return pending_.size();
-}
-
 std::string Node::DebugString() const {
-  MutexLock lock(mu_);
   std::string out = "node " + std::to_string(options_.id) +
-                    ": vu=" + std::to_string(vu_) +
-                    " vr=" + std::to_string(vr_) + "\n";
+                    ": vu=" + std::to_string(vu()) +
+                    " vr=" + std::to_string(vr()) + "\n";
   for (const auto& [sid, rec] : pending_) {
     out += "  pending subtxn " + std::to_string(sid) + " txn " +
            std::to_string(rec.txn) + " v" + std::to_string(rec.version) +
@@ -351,19 +345,19 @@ std::string Node::DebugString() const {
 }
 
 SubtxnId Node::NewSubtxnId() {
-  MutexLock lock(mu_);
-  ReserveSeqsLocked();
+  ReserveSeqs();
   return MakeGlobalId(options_.id, next_subtxn_seq_++);
 }
 
 bool Node::InjectAbort() {
   if (options_.inject_abort_probability <= 0) return false;
-  MutexLock lock(mu_);
   return rng_.Bernoulli(options_.inject_abort_probability);
 }
 
 void Node::HandleMessage(const Message& msg) {
-  // A halted node is crashed: messages already queued for it die here.
+  HandlerScope owner(in_handler_, options_.id);
+  // A halted node is crashed: messages (and timers) already queued for it
+  // die here.
   if (halted_.load(std::memory_order_acquire)) return;
   switch (msg.type) {
     case MsgType::kClientSubmit:
@@ -405,6 +399,9 @@ void Node::HandleMessage(const Message& msg) {
     case MsgType::kAdminInspect:
       OnAdminInspect(msg);
       break;
+    case MsgType::kTimer:
+      OnTimer(msg);
+      break;
     default:
       THREEV_LOG(kWarn) << "node " << options_.id << ": unexpected "
                         << msg.ToString();
@@ -436,12 +433,9 @@ void Node::OnClientSubmit(const Message& msg) {
     return;
   }
   auto ctx = std::make_shared<ExecContext>();
-  {
-    MutexLock lock(mu_);
-    ReserveSeqsLocked();
-    ctx->txn = MakeGlobalId(options_.id, next_txn_seq_++);
-    ctx->subtxn = MakeGlobalId(options_.id, next_subtxn_seq_++);
-  }
+  ReserveSeqs();
+  ctx->txn = MakeGlobalId(options_.id, next_txn_seq_++);
+  ctx->subtxn = MakeGlobalId(options_.id, next_subtxn_seq_++);
   ctx->source = options_.id;
   ctx->is_root = true;
   ctx->read_only = msg.flag;
@@ -488,36 +482,32 @@ void Node::OnSubtxnRequest(const Message& msg) {
 }
 
 void Node::StartSubtxn(ExecPtr ctx) {
-  {
-    MutexLock lock(mu_);
-    if (ctx->is_root) {
-      // Section 4.1 step 1 / Section 4.2: a root subtransaction is assigned
-      // the current update (or read) version and counts a local request.
-      if (ctx->read_only && ctx->klass == TxnClass::kWellBehaved) {
-        ctx->version = options_.read_policy == ReadPolicy::kCurrentVersion
-                           ? vu_
-                           : vr_;
-      } else {
-        // Updates - and non-commuting reads (GlobalSync baseline), which
-        // must observe current data under locks - use the update version.
-        ctx->version = vu_;
-      }
-      counters_.IncR(ctx->version, options_.id);
-      LogCounter(ctx->version, /*is_r=*/true, options_.id);
-    } else if (!ctx->read_only) {
-      if (options_.version_assignment == VersionAssignment::kLocalPeriod) {
-        // Manual-versioning baseline: the write lands in whatever period
-        // this node is currently accumulating (see VersionAssignment).
-        ctx->version = vu_;
-      } else if (ctx->version > vu_) {
-        // Section 4.1 step 2: a descendant carrying a newer version than
-        // our current update version doubles as the start-advancement
-        // notification (version inference).
-        AdvanceUpdateVersionLocked(ctx->version, ctx->trace);
-        if (metrics_ != nullptr) {
-          metrics_->version_inferences.fetch_add(1,
-                                                 std::memory_order_relaxed);
-        }
+  if (ctx->is_root) {
+    // Section 4.1 step 1 / Section 4.2: a root subtransaction is assigned
+    // the current update (or read) version and counts a local request.
+    if (ctx->read_only && ctx->klass == TxnClass::kWellBehaved) {
+      ctx->version = options_.read_policy == ReadPolicy::kCurrentVersion
+                         ? vu()
+                         : vr();
+    } else {
+      // Updates - and non-commuting reads (GlobalSync baseline), which
+      // must observe current data under locks - use the update version.
+      ctx->version = vu();
+    }
+    counters_.IncR(ctx->version, options_.id);
+    LogCounter(ctx->version, /*is_r=*/true, options_.id);
+  } else if (!ctx->read_only) {
+    if (options_.version_assignment == VersionAssignment::kLocalPeriod) {
+      // Manual-versioning baseline: the write lands in whatever period
+      // this node is currently accumulating (see VersionAssignment).
+      ctx->version = vu();
+    } else if (ctx->version > vu()) {
+      // Section 4.1 step 2: a descendant carrying a newer version than
+      // our current update version doubles as the start-advancement
+      // notification (version inference).
+      AdvanceUpdateVersion(ctx->version, ctx->trace);
+      if (metrics_ != nullptr) {
+        metrics_->version_inferences.fetch_add(1, std::memory_order_relaxed);
       }
     }
   }
@@ -549,19 +539,14 @@ void Node::StartSubtxn(ExecPtr ctx) {
   // (Section 5 step 2): proceed only when V(K) == vr + 1, i.e. no version
   // advancement is in flight for its version.
   if (ctx->is_root) {
-    bool pass;
-    {
-      MutexLock lock(mu_);
-      pass = VersionGateOpen(ctx->version, vr_);
-      if (!pass) {
-        ExecPtr c = ctx;
-        gate_waiters_.emplace_back(ctx->version,
-                                   [this, c] { ProceedNonCommuting(c); });
-      }
-    }
-    if (pass) {
+    if (VersionGateOpen(ctx->version, vr())) {
       ProceedNonCommuting(std::move(ctx));
-    } else if (metrics_ != nullptr) {
+      return;
+    }
+    ExecPtr c = ctx;
+    gate_waiters_.emplace_back(ctx->version,
+                               [this, c] { ProceedNonCommuting(c); });
+    if (metrics_ != nullptr) {
       metrics_->version_gate_waits.fetch_add(1, std::memory_order_relaxed);
     }
     return;
@@ -592,12 +577,9 @@ void Node::ProceedNonCommuting(ExecPtr ctx) {
     // Lock timeout: this subtransaction aborts; the root will decide abort
     // for the whole transaction in 2PC. Locks already held stay until the
     // decision (strict 2PL).
-    {
-      MutexLock lock(mu_);
-      NcTxnState& st = nc_txns_[c->txn];
-      st.failed = true;
-      st.completions.emplace_back(c->version, c->source);
-    }
+    NcTxnState& st = nc_txns_[c->txn];
+    st.failed = true;
+    st.completions.emplace_back(c->version, c->source);
     FinishExecution(c, Status::Aborted("lock wait timeout"), {}, {});
   });
 }
@@ -605,10 +587,7 @@ void Node::ProceedNonCommuting(ExecPtr ctx) {
 void Node::ArmLockTimeout(ExecPtr ctx) {
   ExecPtr c = std::move(ctx);
   ScheduleAfter(options_.nc_lock_timeout, [this, c] {
-    {
-      MutexLock lock(mu_);
-      if (c->lock_done) return;
-    }
+    if (c->lock_done) return;
     locks_.CancelWaits(c->txn);
     // Keep watching until the lock phase resolves: the cancel may have hit
     // nothing (between acquisitions) or only a sibling subtransaction's
@@ -618,27 +597,20 @@ void Node::ArmLockTimeout(ExecPtr ctx) {
 }
 
 void Node::AcquireNextLock(ExecPtr ctx, std::function<void(bool)> done) {
-  size_t i;
-  {
-    MutexLock lock(mu_);
-    if (ctx->lock_done) return;  // already failed (cancelled)
-    i = ctx->next_lock;
-  }
+  if (ctx->lock_done) return;  // already failed (cancelled)
+  const size_t i = ctx->next_lock;
   if (i >= ctx->lock_needs.size()) {
-    {
-      MutexLock lock(mu_);
-      ctx->lock_done = true;
-    }
+    ctx->lock_done = true;
     done(true);
     return;
   }
   const auto& [key, mode] = ctx->lock_needs[i];
   Micros t0 = network_->Now();
-  auto returned = std::make_shared<std::atomic<bool>>(false);
+  auto returned = std::make_shared<bool>(false);
   ExecPtr c = ctx;
   locks_.Acquire(key, mode, ctx->txn,
                  [this, c, done, t0, returned](bool granted) {
-                   if (returned->load(std::memory_order_acquire)) {
+                   if (*returned) {
                      // Deferred grant: the subtransaction actually waited.
                      Micros waited = network_->Now() - t0;
                      if (metrics_ != nullptr) {
@@ -654,20 +626,14 @@ void Node::AcquireNextLock(ExecPtr ctx, std::function<void(bool)> done) {
                      }
                    }
                    if (!granted) {
-                     {
-                       MutexLock lock(mu_);
-                       c->lock_done = true;
-                     }
+                     c->lock_done = true;
                      done(false);
                      return;
                    }
-                   {
-                     MutexLock lock(mu_);
-                     c->next_lock++;
-                   }
+                   c->next_lock++;
                    AcquireNextLock(c, done);
                  });
-  returned->store(true, std::memory_order_release);
+  *returned = true;
 }
 
 std::vector<std::pair<std::string, LockMode>> Node::ComputeLockNeeds(
@@ -838,13 +804,10 @@ void Node::ExecuteBodyNC(ExecPtr ctx) {
     }
   }
 
-  {
-    MutexLock lock(mu_);
-    NcTxnState& st = nc_txns_[ctx->txn];
-    for (auto& u : undo_local) st.undo.push_back(std::move(u));
-    st.completions.emplace_back(ctx->version, ctx->source);
-    if (!failure.ok()) st.failed = true;
-  }
+  NcTxnState& st = nc_txns_[ctx->txn];
+  for (auto& u : undo_local) st.undo.push_back(std::move(u));
+  st.completions.emplace_back(ctx->version, ctx->source);
+  if (!failure.ok()) st.failed = true;
 
   FinishExecution(ctx, failure, std::move(child_ids), std::move(reads));
 }
@@ -900,7 +863,6 @@ void Node::FinishExecution(const ExecPtr& ctx, Status status,
     CompleteSubtxn(std::move(rec));
     return;
   }
-  MutexLock lock(mu_);
   pending_.emplace(rec.subtxn, std::move(rec));
 }
 
@@ -909,34 +871,27 @@ void Node::FinishExecution(const ExecPtr& ctx, Status status,
 // ---------------------------------------------------------------------------
 
 void Node::OnCompletionNotice(const Message& msg) {
-  bool done = false;
-  PendingSubtxn completed;
-  {
-    MutexLock lock(mu_);
-    auto it = pending_.find(msg.parent_subtxn);
-    if (it == pending_.end()) {
-      THREEV_LOG(kWarn) << "node " << options_.id
-                        << ": completion notice for unknown parent subtxn "
-                        << msg.parent_subtxn;
-      return;
-    }
-    PendingSubtxn& rec = it->second;
-    THREEV_CHECK(rec.outstanding > 0);
-    rec.outstanding--;
-    for (const auto& [key, value] : msg.reads) {
-      rec.reads.emplace(key, value);
-    }
-    rec.participants.insert(msg.participants.begin(), msg.participants.end());
-    if (msg.status_code != StatusCode::kOk && rec.status.ok()) {
-      rec.status = Status(msg.status_code, msg.status_msg);
-    }
-    if (rec.outstanding == 0) {
-      done = true;
-      completed = std::move(rec);
-      pending_.erase(it);
-    }
+  auto it = pending_.find(msg.parent_subtxn);
+  if (it == pending_.end()) {
+    THREEV_LOG(kWarn) << "node " << options_.id
+                      << ": completion notice for unknown parent subtxn "
+                      << msg.parent_subtxn;
+    return;
   }
-  if (done) CompleteSubtxn(std::move(completed));
+  PendingSubtxn& rec = it->second;
+  THREEV_CHECK(rec.outstanding > 0);
+  rec.outstanding--;
+  for (const auto& [key, value] : msg.reads) {
+    rec.reads.emplace(key, value);
+  }
+  rec.participants.insert(msg.participants.begin(), msg.participants.end());
+  if (msg.status_code != StatusCode::kOk && rec.status.ok()) {
+    rec.status = Status(msg.status_code, msg.status_msg);
+  }
+  if (rec.outstanding > 0) return;
+  PendingSubtxn completed = std::move(rec);
+  pending_.erase(it);
+  CompleteSubtxn(std::move(completed));
 }
 
 void Node::CompleteSubtxn(PendingSubtxn rec) {
@@ -945,8 +900,8 @@ void Node::CompleteSubtxn(PendingSubtxn rec) {
   // whole subtree has completed. For non-commuting transactions the
   // increment is deferred to the 2PC decision (Section 5 step 6).
   if (rec.klass != TxnClass::kNonCommuting) {
-    if (options_.test_skip_first_completion &&
-        !test_completion_skipped_.exchange(true)) {
+    if (options_.test_skip_first_completion && !test_completion_skipped_) {
+      test_completion_skipped_ = true;
       // Injected protocol bug (see NodeOptions): lose exactly one
       // completion-counter increment so the fuzz oracle battery has a
       // known-bad target to catch.
@@ -1021,17 +976,14 @@ void Node::ResolveRoot(PendingSubtxn rec) {
                            rec.trace, static_cast<int64_t>(txn));
   }
   TraceContext twopc_trace = rec.twopc_trace;
-  {
-    MutexLock lock(mu_);
-    nc_roots_[txn] = rec.subtxn;
-    if (prepare) {
-      rec.vote_waiting.insert(participants.begin(), participants.end());
-    } else {
-      rec.commit = false;
-      rec.ack_waiting.insert(participants.begin(), participants.end());
-    }
-    pending_.emplace(rec.subtxn, std::move(rec));
+  nc_roots_[txn] = rec.subtxn;
+  if (prepare) {
+    rec.vote_waiting.insert(participants.begin(), participants.end());
+  } else {
+    rec.commit = false;
+    rec.ack_waiting.insert(participants.begin(), participants.end());
   }
+  pending_.emplace(rec.subtxn, std::move(rec));
   for (NodeId p : participants) {
     Message m;
     m.type = prepare ? MsgType::kPrepare : MsgType::kDecision;
@@ -1056,7 +1008,6 @@ void Node::FinishRoot(PendingSubtxn& rec, Status status) {
     Micros latency = now - rec.submit_time;
     if (rec.read_only) {
       metrics_->read_latency.Record(latency);
-      MutexLock lock(mu_);
       auto it = frozen_time_.find(rec.version);
       if (it != frozen_time_.end()) {
         metrics_->staleness.Record(now - it->second);
@@ -1094,21 +1045,13 @@ void Node::FinishRoot(PendingSubtxn& rec, Status status) {
 // ---------------------------------------------------------------------------
 
 void Node::OnPrepare(const Message& msg) {
-  bool vote = true;
-  {
-    MutexLock lock(mu_);
-    auto it = nc_txns_.find(msg.txn);
-    if (it == nc_txns_.end()) {
-      // No participant state: either this node crashed before the
-      // subtransaction's kNcExecute record was durable (its effects are
-      // gone, so commit would be wrong) or the decision was already
-      // applied here and this is a stale retransmitted prepare (the root
-      // has decided, so the no-vote is ignored). Either way: vote no.
-      vote = false;
-    } else if (it->second.failed) {
-      vote = false;
-    }
-  }
+  // No participant state: either this node crashed before the
+  // subtransaction's kNcExecute record was durable (its effects are gone,
+  // so commit would be wrong) or the decision was already applied here and
+  // this is a stale retransmitted prepare (the root has decided, so the
+  // no-vote is ignored). Either way: vote no.
+  auto it = nc_txns_.find(msg.txn);
+  const bool vote = it != nc_txns_.end() && !it->second.failed;
   if (vote) {
     // The yes-vote is a durable promise: after a reboot this node must
     // still be able to honor a commit decision, which requires the
@@ -1128,29 +1071,19 @@ void Node::OnPrepare(const Message& msg) {
 }
 
 void Node::OnVote(const Message& msg) {
-  bool decide = false;
-  bool commit = true;
-  std::vector<NodeId> participants;
-  TraceContext twopc_trace;
-  {
-    MutexLock lock(mu_);
-    auto rit = nc_roots_.find(msg.txn);
-    if (rit == nc_roots_.end()) return;
-    auto pit = pending_.find(rit->second);
-    if (pit == pending_.end()) return;
-    PendingSubtxn& rec = pit->second;
-    if (rec.vote_waiting.erase(msg.from) == 0) return;  // duplicate vote
-    if (!msg.flag) rec.commit = false;
-    if (rec.vote_waiting.empty() && rec.ack_waiting.empty()) {
-      decide = true;
-      commit = rec.commit;
-      twopc_trace = rec.twopc_trace;
-      rec.ack_waiting.insert(rec.participants.begin(),
-                             rec.participants.end());
-      participants.assign(rec.participants.begin(), rec.participants.end());
-    }
-  }
-  if (!decide) return;
+  auto rit = nc_roots_.find(msg.txn);
+  if (rit == nc_roots_.end()) return;
+  auto pit = pending_.find(rit->second);
+  if (pit == pending_.end()) return;
+  PendingSubtxn& root = pit->second;
+  if (root.vote_waiting.erase(msg.from) == 0) return;  // duplicate vote
+  if (!msg.flag) root.commit = false;
+  if (!root.vote_waiting.empty() || !root.ack_waiting.empty()) return;
+  const bool commit = root.commit;
+  const TraceContext twopc_trace = root.twopc_trace;
+  root.ack_waiting.insert(root.participants.begin(), root.participants.end());
+  const std::vector<NodeId> participants(root.participants.begin(),
+                                         root.participants.end());
   // Force the decision record before the first decision message leaves:
   // presumed abort on recovery is sound only if a logged decision is the
   // sole possible source of a delivered commit.
@@ -1173,14 +1106,10 @@ void Node::OnVote(const Message& msg) {
 void Node::OnDecision(const Message& msg) {
   NcTxnState st;
   bool known = false;
-  {
-    MutexLock lock(mu_);
-    auto it = nc_txns_.find(msg.txn);
-    if (it != nc_txns_.end()) {
-      known = true;
-      st = std::move(it->second);
-      nc_txns_.erase(it);
-    }
+  if (auto it = nc_txns_.find(msg.txn); it != nc_txns_.end()) {
+    known = true;
+    st = std::move(it->second);
+    nc_txns_.erase(it);
   }
   // Durable before applied: replay re-derives the undo application from
   // the still-logged kNcExecute state, and the completion increments
@@ -1216,34 +1145,26 @@ void Node::OnDecision(const Message& msg) {
 }
 
 void Node::OnDecisionAck(const Message& msg) {
-  bool done = false;
-  PendingSubtxn rec;
-  {
-    MutexLock lock(mu_);
-    // Recovery re-broadcasts resolve against their own ack set: the txn
-    // has no pending root record (it finished or died pre-crash), only a
-    // durably logged decision being re-driven to completion.
-    auto recovered = recovered_decisions_.find(msg.txn);
-    if (recovered != recovered_decisions_.end()) {
-      recovered->second.second.erase(msg.from);
-      if (recovered->second.second.empty()) {
-        recovered_decisions_.erase(recovered);
-      }
-      return;
+  // Recovery re-broadcasts resolve against their own ack set: the txn has
+  // no pending root record (it finished or died pre-crash), only a durably
+  // logged decision being re-driven to completion.
+  auto recovered = recovered_decisions_.find(msg.txn);
+  if (recovered != recovered_decisions_.end()) {
+    recovered->second.second.erase(msg.from);
+    if (recovered->second.second.empty()) {
+      recovered_decisions_.erase(recovered);
     }
-    auto rit = nc_roots_.find(msg.txn);
-    if (rit == nc_roots_.end()) return;
-    auto pit = pending_.find(rit->second);
-    if (pit == pending_.end()) return;
-    if (pit->second.ack_waiting.erase(msg.from) == 0) return;  // duplicate
-    if (pit->second.ack_waiting.empty()) {
-      done = true;
-      rec = std::move(pit->second);
-      pending_.erase(pit);
-      nc_roots_.erase(rit);
-    }
+    return;
   }
-  if (!done) return;
+  auto rit = nc_roots_.find(msg.txn);
+  if (rit == nc_roots_.end()) return;
+  auto pit = pending_.find(rit->second);
+  if (pit == pending_.end()) return;
+  if (pit->second.ack_waiting.erase(msg.from) == 0) return;  // duplicate
+  if (!pit->second.ack_waiting.empty()) return;
+  PendingSubtxn rec = std::move(pit->second);
+  pending_.erase(pit);
+  nc_roots_.erase(rit);
   Status status = rec.commit
                       ? Status::Ok()
                       : (rec.status.ok() ? Status::Aborted("2pc abort")
@@ -1259,10 +1180,10 @@ void Node::OnLockCleanup(const Message& msg) {
 // Version advancement participation (Section 4.3)
 // ---------------------------------------------------------------------------
 
-void Node::AdvanceUpdateVersionLocked(Version v, const TraceContext& trace) {
+void Node::AdvanceUpdateVersion(Version v, const TraceContext& trace) {
   Micros now = network_->Now();
-  frozen_time_[vu_] = now;
-  vu_ = v;
+  frozen_time_[vu()] = now;
+  vu_.store(v, std::memory_order_relaxed);
   if (tracer_ != nullptr && tracer_->enabled()) {
     tracer_->Instant(now, options_.id, TraceOp::kVersionSwitch, trace,
                      /*msg_type=*/0, static_cast<int64_t>(v));
@@ -1276,10 +1197,7 @@ void Node::AdvanceUpdateVersionLocked(Version v, const TraceContext& trace) {
 }
 
 void Node::OnStartAdvancement(const Message& msg) {
-  {
-    MutexLock lock(mu_);
-    if (msg.version > vu_) AdvanceUpdateVersionLocked(msg.version, msg.trace);
-  }
+  if (msg.version > vu()) AdvanceUpdateVersion(msg.version, msg.trace);
   Message m;
   m.type = MsgType::kStartAdvancementAck;
   m.from = options_.id;
@@ -1306,21 +1224,18 @@ void Node::OnCounterRead(const Message& msg) {
 }
 
 void Node::OnReadVersionAdvance(const Message& msg) {
-  {
-    MutexLock lock(mu_);
-    if (msg.version > vr_) {
-      vr_ = msg.version;
-      if (tracer_ != nullptr && tracer_->enabled()) {
-        tracer_->Instant(network_->Now(), options_.id,
-                         TraceOp::kReadVersionSwitch, msg.trace,
-                         /*msg_type=*/0, static_cast<int64_t>(msg.version));
-      }
-      WalRecord rec;
-      rec.type = WalRecordType::kVersionSwitch;
-      rec.version = msg.version;
-      rec.flag = false;  // vr
-      LogRecord(rec);
+  if (msg.version > vr()) {
+    vr_.store(msg.version, std::memory_order_relaxed);
+    if (tracer_ != nullptr && tracer_->enabled()) {
+      tracer_->Instant(network_->Now(), options_.id,
+                       TraceOp::kReadVersionSwitch, msg.trace,
+                       /*msg_type=*/0, static_cast<int64_t>(msg.version));
     }
+    WalRecord rec;
+    rec.type = WalRecordType::kVersionSwitch;
+    rec.version = msg.version;
+    rec.flag = false;  // vr
+    LogRecord(rec);
   }
   Message m;
   m.type = MsgType::kReadVersionAdvanceAck;
@@ -1333,16 +1248,14 @@ void Node::OnReadVersionAdvance(const Message& msg) {
 }
 
 void Node::WakeVersionGateWaiters() {
+  // Collected first: a woken continuation may queue a new waiter.
   std::vector<std::function<void()>> runnable;
-  {
-    MutexLock lock(mu_);
-    for (auto it = gate_waiters_.begin(); it != gate_waiters_.end();) {
-      if (VersionGateOpen(it->first, vr_)) {
-        runnable.push_back(std::move(it->second));
-        it = gate_waiters_.erase(it);
-      } else {
-        ++it;
-      }
+  for (auto it = gate_waiters_.begin(); it != gate_waiters_.end();) {
+    if (VersionGateOpen(it->first, vr())) {
+      runnable.push_back(std::move(it->second));
+      it = gate_waiters_.erase(it);
+    } else {
+      ++it;
     }
   }
   for (auto& fn : runnable) fn();
@@ -1357,11 +1270,8 @@ void Node::OnGarbageCollect(const Message& msg) {
   LogRecord(rec);
   store_.GarbageCollect(msg.version);
   counters_.DropBelow(msg.version);
-  {
-    MutexLock lock(mu_);
-    frozen_time_.erase(frozen_time_.begin(),
-                       frozen_time_.lower_bound(msg.version));
-  }
+  frozen_time_.erase(frozen_time_.begin(),
+                     frozen_time_.lower_bound(msg.version));
   if (tracer_ != nullptr && tracer_->enabled()) {
     tracer_->Instant(network_->Now(), options_.id, TraceOp::kGarbageCollect,
                      msg.trace, /*msg_type=*/0,
@@ -1382,22 +1292,17 @@ void Node::OnGarbageCollect(const Message& msg) {
 
 void Node::OnAdminInspect(const Message& msg) {
   Message m = MakeInspectReply(msg, options_.id);
-  Version counter_version;
-  {
-    MutexLock lock(mu_);
-    InspectPutNum(&m, "vu", vu_);
-    InspectPutNum(&m, "vr", vr_);
-    InspectPutNum(&m, "pending_subtxns",
-                  static_cast<int64_t>(pending_.size()));
-    InspectPutNum(&m, "nc_txns", static_cast<int64_t>(nc_txns_.size()));
-    InspectPutNum(&m, "gate_waiters",
-                  static_cast<int64_t>(gate_waiters_.size()));
-    // Counter rows for the probed version. flag=true marks the version
-    // field as explicit even when it is 0 (version 0 carries real read
-    // traffic before the first advancement); otherwise 0 defaults to the
-    // current update version.
-    counter_version = msg.flag || msg.version != 0 ? msg.version : vu_;
-  }
+  InspectPutNum(&m, "vu", vu());
+  InspectPutNum(&m, "vr", vr());
+  InspectPutNum(&m, "pending_subtxns", static_cast<int64_t>(pending_.size()));
+  InspectPutNum(&m, "nc_txns", static_cast<int64_t>(nc_txns_.size()));
+  InspectPutNum(&m, "gate_waiters", static_cast<int64_t>(gate_waiters_.size()));
+  // Counter rows for the probed version. flag=true marks the version field
+  // as explicit even when it is 0 (version 0 carries real read traffic
+  // before the first advancement); otherwise 0 defaults to the current
+  // update version.
+  const Version counter_version =
+      msg.flag || msg.version != 0 ? msg.version : vu();
   InspectPutStr(&m, "mode",
                 options_.mode == NodeMode::kPure3V ? "pure3v" : "nc3v");
   InspectPutNum(&m, "locks_held",
@@ -1420,14 +1325,10 @@ void Node::OnAdminInspect(const Message& msg) {
     }
     InspectPutStr(&m, "active_versions", active);
   }
-  {
-    MutexLock lock(wal_mu_);
-    if (wal_ != nullptr) {
-      InspectPutNum(&m, "wal_segment",
-                    static_cast<int64_t>(wal_->current_segment()));
-      InspectPutNum(&m, "wal_bytes",
-                    static_cast<int64_t>(wal_->bytes_appended()));
-    }
+  if (wal_ != nullptr) {
+    InspectPutNum(&m, "wal_segment",
+                  static_cast<int64_t>(wal_->current_segment()));
+    InspectPutNum(&m, "wal_bytes", static_cast<int64_t>(wal_->bytes_appended()));
   }
   InspectPutNum(&m, "counters_version", counter_version);
   m.counters_r = counters_.SnapshotR(counter_version);

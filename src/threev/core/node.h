@@ -12,8 +12,6 @@
 #include <vector>
 
 #include "threev/common/clock.h"
-#include "threev/common/mutex.h"
-#include "threev/common/thread_annotations.h"
 #include "threev/common/ids.h"
 #include "threev/common/random.h"
 #include "threev/common/status.h"
@@ -115,13 +113,19 @@ struct NodeOptions {
 //
 // Durability (DESIGN.md section 9): redo records are staged in the WAL's
 // batch and committed with one write just before the next message leaves
-// (every send goes through Node::Send) and at the end of every handler and
-// timer callback, so between events the log holds every record.
+// (every send goes through Node::Send) and at the end of every handler, so
+// between events the log holds every record.
 //
-// Thread safety: HandleMessage may be called from any thread; internal
-// state is guarded by one node mutex, the store / counters / lock table by
-// their own. The node mutex is never held across a Send or a lock-manager
-// call, so callback re-entry cannot deadlock.
+// Threading (DESIGN.md section 6): one thread owns the node. Every handler,
+// timer callback included (timers arrive as kTimer messages through
+// Network::ScheduleTimer), runs on the thread the transport runs this
+// endpoint's messages on, so the node, its store, counters and lock table
+// take no locks. HandleMessage enforces it: two overlapping calls abort the
+// process. Other threads may only call halted(), Halt(), vu(), vr() and
+// store().MaxVersionsObserved(); everything else - WriteCheckpoint,
+// PendingSubtxns, DebugString, the store/counters/locks accessors - is for
+// the owner thread or for a quiescent node (SimNet between events, or after
+// the transport stopped).
 class Node {
  public:
   Node(const NodeOptions& options, Network* network, Metrics* metrics,
@@ -131,7 +135,7 @@ class Node {
   Node& operator=(const Node&) = delete;
 
   // Network entry point; register with Network::RegisterEndpoint.
-  void HandleMessage(const Message& msg) EXCLUDES(mu_);
+  void HandleMessage(const Message& msg);
 
   // Crash simulation: a halted node ignores every subsequent message and
   // timer callback. Irreversible - "restarting" means constructing a fresh
@@ -144,24 +148,25 @@ class Node {
   // (kFailedPrecondition) while any subtransaction tree or non-commuting
   // transaction is open here: checkpoints are quiescent by construction, so
   // in-doubt 2PC state never needs to be serialized into them.
-  Status WriteCheckpoint() EXCLUDES(mu_, wal_mu_);
+  Status WriteCheckpoint();
 
   // --- introspection --------------------------------------------------
   NodeId id() const { return options_.id; }
-  Version vu() const EXCLUDES(mu_);
-  Version vr() const EXCLUDES(mu_);
+  // Single writer (the owner thread); other threads sample them.
+  Version vu() const { return vu_.load(std::memory_order_relaxed); }
+  Version vr() const { return vr_.load(std::memory_order_relaxed); }
   VersionedStore& store() { return store_; }
   const VersionedStore& store() const { return store_; }
   CounterTable& counters() { return counters_; }
   LockManager& locks() { return locks_; }
   // Subtransactions whose subtrees have not completed yet at this node.
-  size_t PendingSubtxns() const EXCLUDES(mu_);
+  size_t PendingSubtxns() const { return pending_.size(); }
   // Null when durability is disabled.
   WriteAheadLog* wal() { return wal_.get(); }
 
   // Multi-line diagnostic snapshot: versions, pending subtransactions,
   // open non-commuting transactions, queued version-gate waiters.
-  std::string DebugString() const EXCLUDES(mu_);
+  std::string DebugString() const;
 
  private:
   static constexpr Version kUnassigned = 0xffffffff;
@@ -186,7 +191,7 @@ class Node {
     // Span of this subtransaction's execution (invalid when tracing off);
     // child requests carry ctx.trace so remote spans parent under it.
     TraceContext trace;
-    // Async lock acquisition state (guarded by the node mutex).
+    // Async lock acquisition state.
     std::vector<std::pair<std::string, LockMode>> lock_needs;
     size_t next_lock = 0;
     bool lock_done = false;
@@ -253,6 +258,9 @@ class Node {
   // Protocol introspection probe: replies with a kAdminInspectReply whose
   // stat map / counter rows describe this node (see trace/introspect.h).
   void OnAdminInspect(const Message& msg);
+  // Runs and forgets the callback armed under the token msg.seq; a token
+  // this incarnation did not arm (or already ran) is ignored.
+  void OnTimer(const Message& msg);
 
   // --- execution ---
   // Assigns the root version / applies version inference, then routes to
@@ -285,47 +293,44 @@ class Node {
   void FinishRoot(PendingSubtxn& rec, Status status);
 
   // --- durability ---
-  // Rebuilds state from checkpoint + WAL and re-enters in-doubt 2PC.
-  // SAFETY: runs from the constructor, before the node is published to any
-  // network thread, so it touches guarded members lock-free by construction
-  // - the one deliberate analysis opt-out in this class.
-  void RecoverFromLog() NO_THREAD_SAFETY_ANALYSIS;
+  // Rebuilds state from checkpoint + WAL and re-enters in-doubt 2PC. Runs
+  // from the constructor, before the node is registered with the network.
+  void RecoverFromLog();
   // Stages one redo record (no-op when durability is off); `force` commits
   // it at once. A failed log halts the node.
-  void LogRecord(const WalRecord& rec, bool force = false)
-      EXCLUDES(wal_mu_);
+  void LogRecord(const WalRecord& rec, bool force = false);
   // Commits the staged frames; on failure halts the node and returns false.
   // Requires durability on.
-  bool CommitLog() EXCLUDES(wal_mu_);
+  bool CommitLog();
   void HaltOnLogFailure(const Status& s);
   // Counter-delta record for IncR/IncC (the only non-idempotent records).
-  void LogCounter(Version v, bool is_r, NodeId peer) EXCLUDES(wal_mu_);
+  void LogCounter(Version v, bool is_r, NodeId peer);
   // Reserves a block of id sequence numbers ahead of use (kSeqReserve).
-  void ReserveSeqsLocked() REQUIRES(mu_);
+  void ReserveSeqs();
   // Root-side 2PC retransmission watchdog; re-arms until the root resolves.
   void ArmTwopcRetry(TxnId txn);
   // Recovery-side decision retransmission: a restarted root's re-broadcast
   // decisions are retried until every node acked (a fire-once broadcast
   // plus one lost message would wedge a prepared participant forever).
-  void ArmRecoveryDecisionRetry() EXCLUDES(mu_);
+  void ArmRecoveryDecisionRetry();
 
   // --- externalization ---
   // The only way a message leaves this node (tools/threev_lint.py enforces
   // it): commits the staged WAL frames first, and drops the message if the
   // commit failed, since the node has then halted.
-  void Send(NodeId to, Message&& m) EXCLUDES(wal_mu_);
-  // Node-owned timer: skipped once the node halted; like HandleMessage, it
-  // commits what its callback logged.
+  void Send(NodeId to, Message&& m);
+  // Node-owned timer: `fn` runs after `delay` as the handler of a kTimer
+  // message (OnTimer), so it runs on the owner thread, is skipped once the
+  // node halted and has what it logged committed like any handler's.
   void ScheduleAfter(Micros delay, std::function<void()> fn);
 
   // --- helpers ---
   // `trace` attributes the switch instant to whoever caused it (the
   // coordinator's advancement span, or the inferring subtransaction).
-  void AdvanceUpdateVersionLocked(Version v, const TraceContext& trace)
-      REQUIRES(mu_);
-  void WakeVersionGateWaiters() EXCLUDES(mu_);
-  bool InjectAbort() EXCLUDES(mu_);
-  SubtxnId NewSubtxnId() EXCLUDES(mu_);
+  void AdvanceUpdateVersion(Version v, const TraceContext& trace);
+  void WakeVersionGateWaiters();
+  bool InjectAbort();
+  SubtxnId NewSubtxnId();
   static std::vector<std::pair<std::string, LockMode>> ComputeLockNeeds(
       const SubtxnPlan& plan, bool non_commuting);
 
@@ -339,40 +344,39 @@ class Node {
   CounterTable counters_;
   LockManager locks_;
 
-  // Guards WAL staging and commits (lock order: mu_ may be held when taking
-  // wal_mu_, never the reverse); a commit from the handler or the timer
-  // thread covers the frames either staged. The wal_ pointer itself is set
-  // once during construction and never reassigned, so only the pointed-to
-  // log needs a capability.
-  Mutex wal_mu_;
-  std::unique_ptr<WriteAheadLog> wal_ PT_GUARDED_BY(wal_mu_);
+  // Set once during construction, never reassigned.
+  std::unique_ptr<WriteAheadLog> wal_;
   std::atomic<bool> halted_{false};
+  // Set while a thread runs HandleMessage; a second thread finding it set
+  // aborts the process (the owner-thread check, see the class comment).
+  std::atomic<bool> in_handler_{false};
   // Arms NodeOptions::test_skip_first_completion exactly once.
-  std::atomic<bool> test_completion_skipped_{false};
+  bool test_completion_skipped_ = false;
 
-  mutable Mutex mu_;
-  Version vu_ GUARDED_BY(mu_);
-  Version vr_ GUARDED_BY(mu_);
+  std::atomic<Version> vu_;
+  std::atomic<Version> vr_;
   // When each version stopped being the update version (for staleness
   // accounting). Version 0 is frozen at time 0 by construction.
-  std::map<Version, Micros> frozen_time_ GUARDED_BY(mu_);
-  uint64_t next_txn_seq_ GUARDED_BY(mu_) = 1;
-  uint64_t next_subtxn_seq_ GUARDED_BY(mu_) = 1;
+  std::map<Version, Micros> frozen_time_;
+  uint64_t next_txn_seq_ = 1;
+  uint64_t next_subtxn_seq_ = 1;
   // Ids below this are WAL-reserved.
-  uint64_t seq_reserved_until_ GUARDED_BY(mu_) = 0;
-  Rng rng_ GUARDED_BY(mu_);
-  std::map<SubtxnId, PendingSubtxn> pending_ GUARDED_BY(mu_);
+  uint64_t seq_reserved_until_ = 0;
+  Rng rng_;
+  // Armed timers by token. Tokens come from one process-wide sequence, so
+  // a kTimer armed by a killed incarnation never matches one of its
+  // successor's.
+  std::unordered_map<uint64_t, std::function<void()>> timers_;
+  std::map<SubtxnId, PendingSubtxn> pending_;
   // Routes kVote / kDecisionAck.
-  std::map<TxnId, SubtxnId> nc_roots_ GUARDED_BY(mu_);
+  std::map<TxnId, SubtxnId> nc_roots_;
   // Recovery re-broadcast decisions still awaiting per-node acks. Keyed by
   // txn; value = (commit flag, nodes that have not acked yet). Liveness
   // only - the decision itself is already durably logged.
-  std::map<TxnId, std::pair<bool, std::set<NodeId>>> recovered_decisions_
-      GUARDED_BY(mu_);
-  std::unordered_map<TxnId, NcTxnState> nc_txns_ GUARDED_BY(mu_);
+  std::map<TxnId, std::pair<bool, std::set<NodeId>>> recovered_decisions_;
+  std::unordered_map<TxnId, NcTxnState> nc_txns_;
   // NC3V version gate: continuations waiting for vr == version - 1.
-  std::vector<std::pair<Version, std::function<void()>>> gate_waiters_
-      GUARDED_BY(mu_);
+  std::vector<std::pair<Version, std::function<void()>>> gate_waiters_;
 };
 
 }  // namespace threev

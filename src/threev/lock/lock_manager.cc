@@ -56,43 +56,37 @@ bool LockManager::CompatibleWithHolders(const KeyState& ks, LockMode mode,
 
 void LockManager::Acquire(const std::string& key, LockMode mode,
                           uint64_t owner, GrantCallback cb) {
-  bool granted = false;
-  {
-    MutexLock lock(mu_);
-    KeyState& ks = keys_[key];
+  KeyState& ks = keys_[key];
 
-    // Re-entrant / upgrade path.
-    Holder* own = nullptr;
-    for (auto& h : ks.holders) {
-      if (h.owner == owner) {
-        own = &h;
-        break;
-      }
-    }
-    if (own != nullptr) {
-      if (LockSubsumes(own->mode, mode)) {
-        own->count++;
-        granted = true;
-      } else if (CompatibleWithHolders(ks, mode, owner)) {
-        own->mode = mode;  // upgrade in place
-        own->count++;
-        granted = true;
-      } else {
-        ks.waiters.push_back(Waiter{owner, mode, std::move(cb)});
-      }
-    } else if (ks.waiters.empty() &&
-               CompatibleWithHolders(ks, mode, owner)) {
-      ks.holders.push_back(Holder{owner, mode, 1});
-      owner_keys_[owner].push_back(key);
-      granted = true;
-    } else {
-      ks.waiters.push_back(Waiter{owner, mode, std::move(cb)});
+  // Re-entrant / upgrade path.
+  Holder* own = nullptr;
+  for (auto& h : ks.holders) {
+    if (h.owner == owner) {
+      own = &h;
+      break;
     }
   }
-  if (granted) cb(true);
+  if (own != nullptr) {
+    if (LockSubsumes(own->mode, mode)) {
+      own->count++;
+    } else if (CompatibleWithHolders(ks, mode, owner)) {
+      own->mode = mode;  // upgrade in place
+      own->count++;
+    } else {
+      ks.waiters.push_back(Waiter{owner, mode, std::move(cb)});
+      return;
+    }
+  } else if (ks.waiters.empty() && CompatibleWithHolders(ks, mode, owner)) {
+    ks.holders.push_back(Holder{owner, mode, 1});
+    owner_keys_[owner].push_back(key);
+  } else {
+    ks.waiters.push_back(Waiter{owner, mode, std::move(cb)});
+    return;
+  }
+  cb(true);
 }
 
-void LockManager::PromoteWaitersLocked(const std::string& key, KeyState& ks,
+void LockManager::PromoteWaiters(const std::string& key, KeyState& ks,
                                        std::vector<GrantCallback>& ready) {
   // FIFO: grant from the front while compatible; stop at the first waiter
   // that still conflicts (strict queue order prevents starvation).
@@ -119,24 +113,21 @@ void LockManager::PromoteWaitersLocked(const std::string& key, KeyState& ks,
 }
 
 void LockManager::ReleaseAll(uint64_t owner) {
+  auto it = owner_keys_.find(owner);
+  if (it == owner_keys_.end()) return;
+  std::vector<std::string> held = std::move(it->second);
+  owner_keys_.erase(it);
   std::vector<GrantCallback> ready;
-  {
-    MutexLock lock(mu_);
-    auto it = owner_keys_.find(owner);
-    if (it == owner_keys_.end()) return;
-    std::vector<std::string> held = std::move(it->second);
-    owner_keys_.erase(it);
-    for (const auto& key : held) {
-      auto kit = keys_.find(key);
-      if (kit == keys_.end()) continue;
-      KeyState& ks = kit->second;
-      ks.holders.erase(
-          std::remove_if(ks.holders.begin(), ks.holders.end(),
-                         [&](const Holder& h) { return h.owner == owner; }),
-          ks.holders.end());
-      PromoteWaitersLocked(key, ks, ready);
-      if (ks.holders.empty() && ks.waiters.empty()) keys_.erase(kit);
-    }
+  for (const auto& key : held) {
+    auto kit = keys_.find(key);
+    if (kit == keys_.end()) continue;
+    KeyState& ks = kit->second;
+    ks.holders.erase(
+        std::remove_if(ks.holders.begin(), ks.holders.end(),
+                       [&](const Holder& h) { return h.owner == owner; }),
+        ks.holders.end());
+    PromoteWaiters(key, ks, ready);
+    if (ks.holders.empty() && ks.waiters.empty()) keys_.erase(kit);
   }
   for (auto& cb : ready) cb(true);
 }
@@ -144,24 +135,21 @@ void LockManager::ReleaseAll(uint64_t owner) {
 size_t LockManager::CancelWaits(uint64_t owner) {
   std::vector<GrantCallback> cancelled;
   std::vector<GrantCallback> ready;
-  {
-    MutexLock lock(mu_);
-    for (auto& [key, ks] : keys_) {
-      bool removed = false;
-      for (auto it = ks.waiters.begin(); it != ks.waiters.end();) {
-        if (it->owner == owner) {
-          cancelled.push_back(std::move(it->cb));
-          it = ks.waiters.erase(it);
-          removed = true;
-        } else {
-          ++it;
-        }
+  for (auto& [key, ks] : keys_) {
+    bool removed = false;
+    for (auto it = ks.waiters.begin(); it != ks.waiters.end();) {
+      if (it->owner == owner) {
+        cancelled.push_back(std::move(it->cb));
+        it = ks.waiters.erase(it);
+        removed = true;
+      } else {
+        ++it;
       }
-      // Removing a (possibly incompatible) waiter from the middle of the
-      // FIFO can unblock everyone queued behind it - promote now, or they
-      // would wait for an unrelated release that may never come.
-      if (removed) PromoteWaitersLocked(key, ks, ready);
     }
+    // Removing a (possibly incompatible) waiter from the middle of the
+    // FIFO can unblock everyone queued behind it - promote now, or they
+    // would wait for an unrelated release that may never come.
+    if (removed) PromoteWaiters(key, ks, ready);
   }
   for (auto& cb : cancelled) cb(false);
   for (auto& cb : ready) cb(true);
@@ -169,21 +157,18 @@ size_t LockManager::CancelWaits(uint64_t owner) {
 }
 
 size_t LockManager::HeldCount() const {
-  MutexLock lock(mu_);
   size_t n = 0;
   for (const auto& [key, ks] : keys_) n += ks.holders.size();
   return n;
 }
 
 size_t LockManager::WaiterCount() const {
-  MutexLock lock(mu_);
   size_t n = 0;
   for (const auto& [key, ks] : keys_) n += ks.waiters.size();
   return n;
 }
 
 std::string LockManager::DebugString() const {
-  MutexLock lock(mu_);
   std::string out;
   for (const auto& [key, ks] : keys_) {
     out += "  " + key + ": holders[";
@@ -201,7 +186,6 @@ std::string LockManager::DebugString() const {
 }
 
 bool LockManager::Holds(const std::string& key, uint64_t owner) const {
-  MutexLock lock(mu_);
   auto it = keys_.find(key);
   if (it == keys_.end()) return false;
   for (const auto& h : it->second.holders) {

@@ -8,9 +8,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "threev/common/mutex.h"
-#include "threev/common/thread_annotations.h"
-
 namespace threev {
 
 // Lock modes of the NC3V extension (Section 5).
@@ -49,8 +46,9 @@ bool LockSubsumes(LockMode stronger, LockMode weaker);
 // Owners are transaction ids; all locks of a transaction on this node are
 // released together (strict 2PL at transaction granularity).
 //
-// Callbacks are always invoked without the internal mutex held, so they may
-// re-enter the lock manager.
+// Single-threaded: the owning node's thread is the only caller (DESIGN.md
+// section 6). Callbacks run only after the table update that triggered them
+// is complete, so they may re-enter the lock manager.
 class LockManager {
  public:
   // granted=false means the request was cancelled (lock timeout).
@@ -66,21 +64,21 @@ class LockManager {
   // otherwise). Fairness: a request that is compatible with the holders
   // but finds a non-empty wait queue goes to the back (no starvation).
   void Acquire(const std::string& key, LockMode mode, uint64_t owner,
-               GrantCallback cb) EXCLUDES(mu_);
+               GrantCallback cb);
 
   // Releases every lock held by `owner`, granting unblocked waiters.
-  void ReleaseAll(uint64_t owner) EXCLUDES(mu_);
+  void ReleaseAll(uint64_t owner);
 
   // Cancels all waiting (not yet granted) requests of `owner`, invoking
   // their callbacks with granted=false. Returns the number cancelled.
-  size_t CancelWaits(uint64_t owner) EXCLUDES(mu_);
+  size_t CancelWaits(uint64_t owner);
 
   // --- introspection (tests / diagnostics) ---
-  size_t HeldCount() const EXCLUDES(mu_);
-  size_t WaiterCount() const EXCLUDES(mu_);
-  bool Holds(const std::string& key, uint64_t owner) const EXCLUDES(mu_);
+  size_t HeldCount() const;
+  size_t WaiterCount() const;
+  bool Holds(const std::string& key, uint64_t owner) const;
   // One line per key with holders and queued waiters.
-  std::string DebugString() const EXCLUDES(mu_);
+  std::string DebugString() const;
 
  private:
   struct Holder {
@@ -99,19 +97,17 @@ class LockManager {
   };
 
   // Scans `key`'s queue and moves newly grantable waiters into holders,
-  // collecting their callbacks. Caller holds mu_ and invokes the callbacks
-  // after unlocking.
-  void PromoteWaitersLocked(const std::string& key, KeyState& ks,
-                            std::vector<GrantCallback>& ready) REQUIRES(mu_);
+  // collecting their callbacks. The caller invokes them once it is done
+  // with the table.
+  void PromoteWaiters(const std::string& key, KeyState& ks,
+                            std::vector<GrantCallback>& ready);
 
   static bool CompatibleWithHolders(const KeyState& ks, LockMode mode,
                                     uint64_t owner);
 
-  mutable Mutex mu_;
-  std::unordered_map<std::string, KeyState> keys_ GUARDED_BY(mu_);
+  std::unordered_map<std::string, KeyState> keys_;
   // owner -> keys it holds (for ReleaseAll).
-  std::unordered_map<uint64_t, std::vector<std::string>> owner_keys_
-      GUARDED_BY(mu_);
+  std::unordered_map<uint64_t, std::vector<std::string>> owner_keys_;
 };
 
 }  // namespace threev

@@ -44,6 +44,8 @@ const char* MsgTypeName(MsgType type) {
       return "AdminInspect";
     case MsgType::kAdminInspectReply:
       return "AdminInspectReply";
+    case MsgType::kTimer:
+      return "Timer";
   }
   return "?";
 }

@@ -45,6 +45,9 @@ enum class MsgType : uint8_t {
   // --- protocol introspection (observability, DESIGN.md section 12) ---
   kAdminInspect,       // ask an endpoint for its protocol state
   kAdminInspectReply,  // stat map in `reads`, counter rows in counters_r/c
+
+  // --- owned timers (Network::ScheduleTimer) ---
+  kTimer,  // a timer its endpoint armed has fired; seq = the timer's token
 };
 
 const char* MsgTypeName(MsgType type);
@@ -58,7 +61,7 @@ struct Message {
   SubtxnId parent_subtxn = 0;
   Version version = 0;
   // Generic sequence: advancement epoch for advancement messages, wave id
-  // for counter reads, request id for client submissions.
+  // for counter reads, request id for client submissions, token for kTimer.
   uint64_t seq = 0;
   // Generic flag: read_only for kSubtxnRequest; commit/abort for kDecision
   // and kVote.

@@ -9,10 +9,15 @@
 
 namespace threev {
 
-// Invoked when a message arrives at an endpoint. Handlers may be invoked
-// concurrently from multiple threads (ThreadNet/TcpNet); endpoints protect
-// their own state.
+// Invoked when a message arrives at an endpoint. One endpoint's handler
+// never runs on two threads at once: SimNet runs every handler on its one
+// thread, ThreadNet/TcpNet run each endpoint's handler on that endpoint's
+// own worker. Handlers of different endpoints do run concurrently there, so
+// state shared between endpoints needs its own synchronization.
 using MessageHandler = std::function<void(const Message&)>;
+
+// The kTimer message an owned timer delivers (see Network::ScheduleTimer).
+Message TimerMessage(NodeId owner, uint64_t token);
 
 // Transport abstraction. Three implementations:
 //   SimNet    - deterministic discrete-event simulation (virtual time).
@@ -51,10 +56,19 @@ class Network {
   // Sends `msg` (whose `from` field identifies the sender) to `to`.
   virtual void Send(NodeId to, Message msg) = 0;
 
-  // Runs `fn` after `delay`, in a context where it is safe to call Send and
-  // to touch endpoint state (endpoints use internal locking). Used for
-  // coordinator polling and lock timeouts.
+  // Runs `fn` after `delay` on a thread of the transport's choosing (the
+  // timer thread on ThreadNet/TcpNet), where it may call Send but must not
+  // touch an endpoint's handler-owned state. Used by the coordinator, the
+  // advancement policy and test drivers, which guard their own state.
   virtual void ScheduleAfter(Micros delay, std::function<void()> fn) = 0;
+
+  // Owned timer: after `delay`, runs `owner`'s handler with
+  // TimerMessage(owner, token), on the thread that runs its other messages,
+  // so the owner's state stays single-threaded. The owner maps the token to
+  // its callback. The default sends the message when a ScheduleAfter timer
+  // fires, which is correct on every transport; SimNet and ThreadNet
+  // override it to skip the send path's accounting.
+  virtual void ScheduleTimer(NodeId owner, Micros delay, uint64_t token);
 
   // Time source: virtual under SimNet, steady-clock otherwise.
   virtual Micros Now() const = 0;

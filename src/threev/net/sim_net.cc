@@ -123,6 +123,14 @@ void SimNet::ScheduleAfter(Micros delay, std::function<void()> fn) {
   loop_.ScheduleAfter(delay, std::move(fn));
 }
 
+void SimNet::ScheduleTimer(NodeId owner, Micros delay, uint64_t token) {
+  loop_.ScheduleAfter(delay, [this, owner, token] {
+    auto it = handlers_.find(owner);
+    THREEV_CHECK(it != handlers_.end()) << "no endpoint " << owner;
+    it->second(TimerMessage(owner, token));
+  });
+}
+
 std::vector<SimNet::PendingMessage> SimNet::Pending() const {
   std::vector<PendingMessage> out;
   out.reserve(held_.size());

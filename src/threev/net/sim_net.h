@@ -33,13 +33,11 @@ struct SimNetOptions {
 // Deterministic discrete-event network. All endpoints run inside one
 // EventLoop; a whole multi-node cluster simulates on one OS thread.
 //
-// Concurrency model (thread-safety-annotation pass): single-threaded by
-// construction - Send/ScheduleAfter/Deliver all run from EventLoop
-// callbacks on the driving thread, so this class deliberately has no mutex
-// and no GUARDED_BY members. The node/coordinator locks it calls into are
-// uncontended here; tools/threev_lint.py's nondeterminism rule (no wall
-// clocks, no ambient randomness) is what protects this file's determinism
-// instead.
+// Concurrency model: single-threaded by construction - Send/ScheduleAfter/
+// Deliver and every handler run from EventLoop callbacks on the driving
+// thread, so this class deliberately has no mutex and no GUARDED_BY
+// members. tools/threev_lint.py's nondeterminism rule (no wall clocks, no
+// ambient randomness) is what protects this file's determinism instead.
 class SimNet : public Network {
  public:
   explicit SimNet(SimNetOptions options = {}, Metrics* metrics = nullptr);
@@ -47,6 +45,10 @@ class SimNet : public Network {
   void RegisterEndpoint(NodeId id, MessageHandler handler) override;
   void Send(NodeId to, Message msg) override;
   void ScheduleAfter(Micros delay, std::function<void()> fn) override;
+  // Calls `owner`'s handler at the deadline, on the loop: no delivery
+  // delay, no fault, no liveness filter, no tap and no accounting, so it
+  // schedules exactly what a plain ScheduleAfter would.
+  void ScheduleTimer(NodeId owner, Micros delay, uint64_t token) override;
   Micros Now() const override { return loop_.Now(); }
 
   // Crash-fault injection. Bringing an endpoint down drops new sends to it

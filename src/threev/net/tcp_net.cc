@@ -80,6 +80,10 @@ void TcpNet::ScheduleAfter(Micros delay, std::function<void()> fn) {
   local_.ScheduleAfter(delay, std::move(fn));
 }
 
+void TcpNet::ScheduleTimer(NodeId owner, Micros delay, uint64_t token) {
+  local_.ScheduleTimer(owner, delay, token);
+}
+
 Status TcpNet::Start() {
   int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) return Status::IoError("socket() failed");

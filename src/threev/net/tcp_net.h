@@ -68,6 +68,8 @@ class TcpNet : public Network {
   void RegisterEndpoint(NodeId id, MessageHandler handler) override;
   void Send(NodeId to, Message msg) override EXCLUDES(conn_mu_);
   void ScheduleAfter(Micros delay, std::function<void()> fn) override;
+  // `owner` must be a local endpoint; its embedded ThreadNet delivers.
+  void ScheduleTimer(NodeId owner, Micros delay, uint64_t token) override;
   Micros Now() const override;
 
   // Binds the listen socket, then starts the local endpoints' workers, the

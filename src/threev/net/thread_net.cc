@@ -336,6 +336,13 @@ void ThreadNet::ScheduleAfter(Micros delay, std::function<void()> fn) {
   if (new_front) timer_cv_.notify_all();
 }
 
+void ThreadNet::ScheduleTimer(NodeId owner, Micros delay, uint64_t token) {
+  ScheduleAfter(delay, [this, owner, token] {
+    THREEV_CHECK(Deliver(owner, TimerMessage(owner, token)))
+        << "no endpoint " << owner;
+  });
+}
+
 void ThreadNet::TimerLoop() {
   MutexLock lock(timer_mu_);
   while (!timer_stop_) {

@@ -25,7 +25,9 @@ struct ThreadNetOptions {
 };
 
 // One mailbox + worker thread per endpoint; a dedicated timer thread serves
-// ScheduleAfter. Real concurrency on real threads - used by stress and
+// ScheduleAfter, and for an owned timer (ScheduleTimer) only pushes the
+// kTimer message into the owner's mailbox, so every handler of an endpoint
+// runs on its worker. Real concurrency on real threads - used by stress and
 // integration tests to shake out races, and as the engine room of TcpNet,
 // which registers its local endpoints here.
 //
@@ -50,6 +52,10 @@ class ThreadNet : public Network {
   // Counts and traces the send, then delivers; `to` must be registered.
   void Send(NodeId to, Message msg) override;
   void ScheduleAfter(Micros delay, std::function<void()> fn) override
+      EXCLUDES(timer_mu_);
+  // The timer thread only Delivers the kTimer message to `owner`'s mailbox
+  // (no send accounting); the handler runs on `owner`'s worker.
+  void ScheduleTimer(NodeId owner, Micros delay, uint64_t token) override
       EXCLUDES(timer_mu_);
   Micros Now() const override;
 

@@ -2,12 +2,6 @@
 
 #include <algorithm>
 
-#if defined(__GNUC__) || defined(__clang__)
-#define THREEV_ALWAYS_INLINE __attribute__((always_inline)) inline
-#else
-#define THREEV_ALWAYS_INLINE inline
-#endif
-
 namespace threev {
 
 int VersionedStore::Record::FindLE(Version v) const {
@@ -31,167 +25,57 @@ VersionedStore::VersionedStore(Metrics* metrics) : metrics_(metrics) {}
 // Effective labels and the dirty list (DESIGN.md section 11)
 // ---------------------------------------------------------------------------
 
-Version VersionedStore::OldestLabel(const Shard& shard, const Entry& e,
-                                    Version floor) {
-  const auto& versions = e.second.versions;
-  const Version oldest = versions.front().first;
-  if (oldest >= floor || versions.size() > 1) return oldest;
-  // A single copy below the floor is exact only if it was written there,
-  // which listed it. Outside tests and checkpoint loading this never
-  // happens, and `below_floor` skips the search.
-  if (shard.below_floor &&
-      std::find(shard.dirty.begin(), shard.dirty.end(), &e) !=
-          shard.dirty.end()) {
-    return oldest;
-  }
-  return floor;
+VersionedStore::Entry& VersionedStore::FindOrInsert(const std::string& key) {
+  auto it = records_.find(key);
+  if (it == records_.end()) it = records_.emplace(key, Record{}).first;
+  return *it;
 }
 
-int VersionedStore::FindVisible(const Shard& shard, const Entry& e,
-                                Version max_version, Version floor) {
+Version VersionedStore::OldestLabel(const Entry& e) const {
+  const auto& versions = e.second.versions;
+  const Version oldest = versions.front().first;
+  if (oldest >= floor_ || versions.size() > 1) return oldest;
+  // A single copy below the floor is exact only if it was written there,
+  // which listed it. Outside tests and checkpoint loading this never
+  // happens, and `below_floor_` skips the search.
+  if (below_floor_ &&
+      std::find(dirty_.begin(), dirty_.end(), &e) != dirty_.end()) {
+    return oldest;
+  }
+  return floor_;
+}
+
+int VersionedStore::FindVisible(const Entry& e, Version max_version) const {
   // Only the oldest copy's label can read higher than it is stored.
   int idx = e.second.FindLE(max_version);
-  if (idx == 0 && OldestLabel(shard, e, floor) > max_version) return -1;
+  if (idx == 0 && OldestLabel(e) > max_version) return -1;
   return idx;
 }
 
-void VersionedStore::Settle(Shard& shard, Entry& e, Version floor) {
+Result<const Value*> VersionedStore::Visible(const std::string& key,
+                                             Version max_version) const {
+  auto it = records_.find(key);
+  if (it == records_.end()) return Status::NotFound(key);
+  const int idx = FindVisible(*it, max_version);
+  if (idx < 0) {
+    return Status::NotFound(key + " has no version <= " +
+                            std::to_string(max_version));
+  }
+  return &it->second.versions[idx].second;
+}
+
+void VersionedStore::Settle(Entry& e) {
   auto& versions = e.second.versions;
-  if (versions.size() == 1) versions[0].first = OldestLabel(shard, e, floor);
+  if (versions.size() == 1) versions[0].first = OldestLabel(e);
 }
 
-void VersionedStore::TrackDirty(Shard& shard, Entry& e, size_t copies_before,
-                                Version version, Version floor) {
-  const bool below = version < floor;
+void VersionedStore::TrackDirty(Entry& e, size_t copies_before,
+                                Version version) {
+  const bool below = version < floor_;
   if (below || (copies_before == 1 && e.second.versions.size() == 2)) {
-    shard.dirty.push_back(&e);
+    dirty_.push_back(&e);
   }
-  if (below) shard.below_floor = true;
-}
-
-// ---------------------------------------------------------------------------
-// Fast-slot seqlock (DESIGN.md section 11)
-// ---------------------------------------------------------------------------
-
-void VersionedStore::RefreshSlot(Shard& shard, size_t hash,
-                                 std::string_view key, const Record* rec,
-                                 Version floor) {
-  FastSlot& slot = shard.slots[SlotIndex(hash)];
-  const bool eligible =
-      rec != nullptr && rec->versions.size() == 1 &&
-      rec->versions[0].first >= floor &&
-      key.size() <= FastSlot::kKeyWords * 8 &&
-      rec->versions[0].second.ids.empty() &&
-      rec->versions[0].second.str.size() <= FastSlot::kStrWords * 8;
-
-  // Occupancy check is race-free: slots are only written under the shard's
-  // exclusive lock, which we hold.
-  uint32_t cur_key_len = slot.lens.load(std::memory_order_relaxed) & 0xffu;
-  bool occupied_by_key = false;
-  if (cur_key_len != 0 && cur_key_len == key.size()) {
-    uint64_t kw[FastSlot::kKeyWords];
-    for (size_t i = 0; i < FastSlot::kKeyWords; ++i) {
-      kw[i] = slot.key_words[i].load(std::memory_order_relaxed);
-    }
-    occupied_by_key = std::memcmp(kw, key.data(), cur_key_len) == 0;
-  }
-  // Ineligible records only need a write if they currently occupy the slot
-  // (a stale entry for a different key stays valid for that key).
-  if (!eligible && !occupied_by_key) return;
-
-  // Seqlock publish: odd seq marks the write in progress; the release
-  // fence orders the odd store before the payload, the final release store
-  // orders the payload before the even seq readers validate against.
-  uint32_t s = slot.seq.load(std::memory_order_relaxed);
-  slot.seq.store(s + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  if (!eligible) {
-    slot.lens.store(FastSlot::kEmpty, std::memory_order_relaxed);
-  } else {
-    const Value& v = rec->versions[0].second;
-    slot.lens.store(static_cast<uint32_t>(key.size()) |
-                        (static_cast<uint32_t>(v.str.size()) << 8),
-                    std::memory_order_relaxed);
-    slot.version.store(rec->versions[0].first, std::memory_order_relaxed);
-    slot.num.store(v.num, std::memory_order_relaxed);
-    uint64_t kw[FastSlot::kKeyWords] = {};
-    std::memcpy(kw, key.data(), key.size());
-    for (size_t i = 0; i < FastSlot::kKeyWords; ++i) {
-      slot.key_words[i].store(kw[i], std::memory_order_relaxed);
-    }
-    uint64_t sw[FastSlot::kStrWords] = {};
-    std::memcpy(sw, v.str.data(), v.str.size());
-    for (size_t i = 0; i < FastSlot::kStrWords; ++i) {
-      slot.str_words[i].store(sw[i], std::memory_order_relaxed);
-    }
-  }
-  slot.seq.store(s + 2, std::memory_order_release);
-}
-
-// SAFETY: lock-free by design. `slots` is GUARDED_BY(mu) for writers; this
-// reader validates its snapshot with the seqlock protocol instead of the
-// lock (see the retry argument in DESIGN.md section 11). Every cell is a
-// std::atomic, so the unsynchronized loads are UB-free; a torn or
-// concurrent read is detected by the seq re-check and retried or handed to
-// the shared-lock fallback.
-//
-// Forced inline: this is the per-read cost floor, and the ~10-cycle call
-// frame would otherwise be the single largest line item on it.
-THREEV_ALWAYS_INLINE
-bool VersionedStore::TryReadFast(const Shard& shard, size_t hash,
-                                 std::string_view key, Version max_version,
-                                 Value* out) const NO_THREAD_SAFETY_ANALYSIS {
-  const FastSlot& slot = shard.slots[SlotIndex(hash)];
-  const size_t key_len = key.size();
-  if (key_len == 0 || key_len > FastSlot::kKeyWords * 8) return false;
-  // Zero-padded probe copy, hoisted out of the retry loop. Published slots
-  // zero-pad the last key word, so word equality is exact key equality.
-  const size_t key_words = (key_len + 7) / 8;
-  uint64_t want[FastSlot::kKeyWords];
-  want[key_words - 1] = 0;
-  std::memcpy(want, key.data(), key_len);
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    uint32_t s1 = slot.seq.load(std::memory_order_acquire);
-    if (s1 & 1u) return false;  // publish in progress; take the lock
-    uint32_t lens = slot.lens.load(std::memory_order_relaxed);
-    // Any early mismatch exit is safe without seq validation: `false` only
-    // routes the read to the authoritative shared-lock path. Only a `true`
-    // return needs the fence + seq re-check below.
-    if ((lens & 0xffu) != key_len) return false;
-    bool match = true;
-    for (size_t i = 0; i < key_words; ++i) {
-      if (slot.key_words[i].load(std::memory_order_relaxed) != want[i]) {
-        match = false;
-        break;
-      }
-    }
-    if (!match) return false;
-    uint64_t version = slot.version.load(std::memory_order_relaxed);
-    int64_t num = slot.num.load(std::memory_order_relaxed);
-    const uint32_t str_len = (lens >> 8) & 0xffu;
-    uint64_t sw[FastSlot::kStrWords];
-    for (size_t i = 0; i < (str_len + 7) / 8; ++i) {
-      sw[i] = slot.str_words[i].load(std::memory_order_relaxed);
-    }
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (slot.seq.load(std::memory_order_relaxed) != s1) continue;  // torn
-
-    // Validated snapshot; decide entirely from the copied-out state. The
-    // slot's label reads as at least the floor, like every unlisted record.
-    if (version > max_version ||
-        floor_.load(std::memory_order_relaxed) > max_version) {
-      return false;  // locked path decides NotFound
-    }
-    out->num = num;
-    out->ids.clear();
-    if (str_len == 0) {
-      out->str.clear();
-    } else {
-      out->str.assign(reinterpret_cast<const char*>(sw), str_len);
-    }
-    return true;
-  }
-  return false;
+  if (below) below_floor_ = true;
 }
 
 // ---------------------------------------------------------------------------
@@ -200,55 +84,26 @@ bool VersionedStore::TryReadFast(const Shard& shard, size_t hash,
 
 Status VersionedStore::ReadInto(const std::string& key, Version max_version,
                                 Value* out) const {
-  const size_t hash = HashKey(key);
-  const Shard& shard = ShardFor(hash);
-  if (TryReadFast(shard, hash, key, max_version, out)) return Status::Ok();
-  ReaderMutexLock lock(shard.mu);
-  auto it = shard.records.find(HashedKey{key, hash});
-  if (it == shard.records.end()) return Status::NotFound(key);
-  int idx = FindVisible(shard, *it, max_version,
-                        floor_.load(std::memory_order_relaxed));
-  if (idx < 0) {
-    return Status::NotFound(key + " has no version <= " +
-                            std::to_string(max_version));
-  }
-  *out = it->second.versions[idx].second;
+  Result<const Value*> v = Visible(key, max_version);
+  if (!v.ok()) return v.status();
+  *out = **v;
   return Status::Ok();
 }
 
 Result<Value> VersionedStore::Read(const std::string& key,
                                    Version max_version) const {
-  const size_t hash = HashKey(key);
-  const Shard& shard = ShardFor(hash);
-  {
-    // Fill through an in-place result: the fast path constructs exactly
-    // one Value and never touches the shard lock.
-    Result<Value> res{Value{}};
-    if (TryReadFast(shard, hash, key, max_version, &*res)) return res;
-  }
-  ReaderMutexLock lock(shard.mu);
-  auto it = shard.records.find(HashedKey{key, hash});
-  if (it == shard.records.end()) return Status::NotFound(key);
-  int idx = FindVisible(shard, *it, max_version,
-                        floor_.load(std::memory_order_relaxed));
-  if (idx < 0) {
-    return Status::NotFound(key + " has no version <= " +
-                            std::to_string(max_version));
-  }
-  return it->second.versions[idx].second;
+  Result<const Value*> v = Visible(key, max_version);
+  if (!v.ok()) return v.status();
+  return **v;
 }
 
 std::vector<std::pair<std::string, Value>> VersionedStore::ScanPrefix(
     const std::string& prefix, Version max_version) const {
   std::vector<std::pair<std::string, Value>> out;
-  const Version floor = floor_.load(std::memory_order_relaxed);
-  for (const auto& shard : shards_) {
-    ReaderMutexLock lock(shard.mu);
-    for (const auto& e : shard.records) {
-      if (e.first.compare(0, prefix.size(), prefix) != 0) continue;
-      int idx = FindVisible(shard, e, max_version, floor);
-      if (idx >= 0) out.emplace_back(e.first, e.second.versions[idx].second);
-    }
+  for (const auto& e : records_) {
+    if (e.first.compare(0, prefix.size(), prefix) != 0) continue;
+    int idx = FindVisible(e, max_version);
+    if (idx >= 0) out.emplace_back(e.first, e.second.versions[idx].second);
   }
   std::sort(out.begin(), out.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -261,16 +116,9 @@ std::vector<std::pair<std::string, Value>> VersionedStore::ScanPrefix(
 
 void VersionedStore::Seed(const std::string& key, Value value,
                           Version version) {
-  const size_t hash = HashKey(key);
-  Shard& shard = ShardFor(hash);
-  SharedMutexLock lock(shard.mu);
-  auto it = shard.records.find(HashedKey{key, hash});
-  if (it == shard.records.end()) {
-    it = shard.records.emplace(key, Record{}).first;
-  }
-  Record& rec = it->second;
-  const Version floor = floor_.load(std::memory_order_relaxed);
-  Settle(shard, *it, floor);
+  Entry& e = FindOrInsert(key);
+  Record& rec = e.second;
+  Settle(e);
   const size_t copies_before = rec.versions.size();
   int idx = rec.FindExact(version);
   if (idx >= 0) {
@@ -280,23 +128,15 @@ void VersionedStore::Seed(const std::string& key, Value value,
     std::sort(rec.versions.begin(), rec.versions.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
   }
-  TrackDirty(shard, *it, copies_before, version, floor);
-  RefreshSlot(shard, hash, key, &rec, floor);
+  TrackDirty(e, copies_before, version);
 }
 
 Result<int> VersionedStore::Update(
     const std::string& key, Version version, const Operation& op,
     std::vector<std::pair<Version, Value>>* after_images) {
-  const size_t hash = HashKey(key);
-  Shard& shard = ShardFor(hash);
-  SharedMutexLock lock(shard.mu);
-  auto it = shard.records.find(HashedKey{key, hash});
-  if (it == shard.records.end()) {
-    it = shard.records.emplace(key, Record{}).first;
-  }
-  Record& rec = it->second;
-  const Version floor = floor_.load(std::memory_order_relaxed);
-  Settle(shard, *it, floor);
+  Entry& e = FindOrInsert(key);
+  Record& rec = e.second;
+  Settle(e);
   const size_t copies_before = rec.versions.size();
 
   // Atomic check-and-create of key(version): copy the maximum existing
@@ -330,24 +170,16 @@ Result<int> VersionedStore::Update(
                                             std::memory_order_relaxed);
   }
   NoteVersionCount(rec.versions.size());
-  TrackDirty(shard, *it, copies_before, version, floor);
-  RefreshSlot(shard, hash, key, &rec, floor);
+  TrackDirty(e, copies_before, version);
   return applied;
 }
 
 Status VersionedStore::UpdateExact(const std::string& key, Version version,
                                    const Operation& op, UndoEntry* undo,
                                    Value* after_image) {
-  const size_t hash = HashKey(key);
-  Shard& shard = ShardFor(hash);
-  SharedMutexLock lock(shard.mu);
-  auto it = shard.records.find(HashedKey{key, hash});
-  if (it == shard.records.end()) {
-    it = shard.records.emplace(key, Record{}).first;
-  }
-  Record& rec = it->second;
-  const Version floor = floor_.load(std::memory_order_relaxed);
-  Settle(shard, *it, floor);
+  Entry& e = FindOrInsert(key);
+  Record& rec = e.second;
+  Settle(e);
   const size_t copies_before = rec.versions.size();
 
   // NC3V step 4: abort if the item already exists in a newer version (a
@@ -380,92 +212,65 @@ Status VersionedStore::UpdateExact(const std::string& key, Version version,
   op.ApplyTo(rec.versions[idx].second);
   if (after_image != nullptr) *after_image = rec.versions[idx].second;
   NoteVersionCount(rec.versions.size());
-  TrackDirty(shard, *it, copies_before, version, floor);
-  RefreshSlot(shard, hash, key, &rec, floor);
+  TrackDirty(e, copies_before, version);
   return Status::Ok();
 }
 
 void VersionedStore::Undo(const UndoEntry& undo) {
-  const size_t hash = HashKey(undo.key);
-  Shard& shard = ShardFor(hash);
-  SharedMutexLock lock(shard.mu);
-  auto it = shard.records.find(HashedKey{undo.key, hash});
-  if (it == shard.records.end()) return;
+  auto it = records_.find(undo.key);
+  if (it == records_.end()) return;
   Record& rec = it->second;
-  const Version floor = floor_.load(std::memory_order_relaxed);
-  Settle(shard, *it, floor);
+  Settle(*it);
   int idx = rec.FindExact(undo.version);
   if (idx < 0) return;
-  if (undo.created) {
-    rec.versions.erase(rec.versions.begin() + idx);
-    if (rec.versions.empty()) {
-      std::erase(shard.dirty, &*it);
-      shard.records.erase(it);
-      RefreshSlot(shard, hash, undo.key, nullptr, floor);
-      return;
-    }
-  } else {
+  if (!undo.created) {
     rec.versions[idx].second = undo.prior;
+    return;
+  }
+  rec.versions.erase(rec.versions.begin() + idx);
+  if (rec.versions.empty()) {
+    std::erase(dirty_, &*it);
+    records_.erase(it);
   }
   // A record left with one copy stays listed until the next GC, which
   // keeps its label exact in the meantime.
-  RefreshSlot(shard, hash, undo.key, &rec, floor);
 }
 
 void VersionedStore::GarbageCollect(Version vr_new) {
-  // Raise the floor first: that relabels every unlisted record at once, so
-  // a writer racing this GC in a shard not yet visited already sees the
-  // relabelled copy, as it would after an eager pass over that shard.
-  Version floor = floor_.load(std::memory_order_relaxed);
-  while (vr_new > floor && !floor_.compare_exchange_weak(
-                               floor, vr_new, std::memory_order_relaxed)) {
-  }
-  floor = std::max(floor, vr_new);
+  // Raising the floor relabels every unlisted record at once.
+  floor_ = std::max(floor_, vr_new);
 
-  int64_t visited = 0;
-  for (auto& shard : shards_) {
-    SharedMutexLock lock(shard.mu);
-    auto& dirty = shard.dirty;
-    if (dirty.empty()) continue;
-    std::sort(dirty.begin(), dirty.end());
-    dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
-    visited += static_cast<int64_t>(dirty.size());
-    bool below_floor = false;
-    size_t kept = 0;
-    for (Entry* e : dirty) {
-      Record& rec = e->second;
-      const size_t copies = rec.versions.size();
-      const Version oldest = rec.versions.front().first;
-      if (rec.FindExact(vr_new) >= 0) {
-        // Drop every version older than vr_new.
-        rec.versions.erase(
-            std::remove_if(rec.versions.begin(), rec.versions.end(),
-                           [&](const auto& p) { return p.first < vr_new; }),
-            rec.versions.end());
-      } else {
-        // Relabel the latest version older than vr_new as vr_new, dropping
-        // anything before it.
-        int idx = rec.FindLE(vr_new);
-        if (idx >= 0) {
-          rec.versions[idx].first = vr_new;
-          rec.versions.erase(rec.versions.begin(),
-                             rec.versions.begin() + idx);
-        }
-      }
-      if (rec.versions.size() != copies ||
-          rec.versions.front().first != oldest) {
-        RefreshSlot(shard, HashKey(e->first), e->first, &rec, floor);
-      }
-      // A single copy at or above the floor reads the same listed or not.
-      const bool low = rec.versions.front().first < floor;
-      if (rec.versions.size() > 1 || low) {
-        dirty[kept++] = e;
-        below_floor = below_floor || low;
+  std::sort(dirty_.begin(), dirty_.end());
+  dirty_.erase(std::unique(dirty_.begin(), dirty_.end()), dirty_.end());
+  const int64_t visited = static_cast<int64_t>(dirty_.size());
+  bool below_floor = false;
+  size_t kept = 0;
+  for (Entry* e : dirty_) {
+    Record& rec = e->second;
+    if (rec.FindExact(vr_new) >= 0) {
+      // Drop every version older than vr_new.
+      rec.versions.erase(
+          std::remove_if(rec.versions.begin(), rec.versions.end(),
+                         [&](const auto& p) { return p.first < vr_new; }),
+          rec.versions.end());
+    } else {
+      // Relabel the latest version older than vr_new as vr_new, dropping
+      // anything before it.
+      int idx = rec.FindLE(vr_new);
+      if (idx >= 0) {
+        rec.versions[idx].first = vr_new;
+        rec.versions.erase(rec.versions.begin(), rec.versions.begin() + idx);
       }
     }
-    dirty.resize(kept);
-    shard.below_floor = below_floor;
+    // A single copy at or above the floor reads the same listed or not.
+    const bool low = rec.versions.front().first < floor_;
+    if (rec.versions.size() > 1 || low) {
+      dirty_[kept++] = e;
+      below_floor = below_floor || low;
+    }
   }
+  dirty_.resize(kept);
+  below_floor_ = below_floor;
   if (metrics_ != nullptr) {
     metrics_->gc_records_visited.fetch_add(visited,
                                            std::memory_order_relaxed);
@@ -477,28 +282,21 @@ void VersionedStore::GarbageCollect(Version vr_new) {
 // ---------------------------------------------------------------------------
 
 std::vector<Version> VersionedStore::VersionsOf(const std::string& key) const {
-  const size_t hash = HashKey(key);
-  const Shard& shard = ShardFor(hash);
-  ReaderMutexLock lock(shard.mu);
   std::vector<Version> out;
-  auto it = shard.records.find(HashedKey{key, hash});
-  if (it != shard.records.end()) {
+  auto it = records_.find(key);
+  if (it != records_.end()) {
     for (const auto& [v, value] : it->second.versions) out.push_back(v);
-    out[0] = OldestLabel(shard, *it, floor_.load(std::memory_order_relaxed));
+    out[0] = OldestLabel(*it);
   }
   return out;
 }
 
 std::map<Version, Value> VersionedStore::DumpItem(
     const std::string& key) const {
-  const size_t hash = HashKey(key);
-  const Shard& shard = ShardFor(hash);
-  ReaderMutexLock lock(shard.mu);
   std::map<Version, Value> out;
-  auto it = shard.records.find(HashedKey{key, hash});
-  if (it != shard.records.end()) {
-    const Version oldest =
-        OldestLabel(shard, *it, floor_.load(std::memory_order_relaxed));
+  auto it = records_.find(key);
+  if (it != records_.end()) {
+    const Version oldest = OldestLabel(*it);
     for (const auto& [v, value] : it->second.versions) {
       out[std::max(v, oldest)] = value;
     }
@@ -509,14 +307,10 @@ std::map<Version, Value> VersionedStore::DumpItem(
 std::vector<std::tuple<std::string, Version, Value>> VersionedStore::DumpAll()
     const {
   std::vector<std::tuple<std::string, Version, Value>> out;
-  const Version floor = floor_.load(std::memory_order_relaxed);
-  for (const auto& shard : shards_) {
-    ReaderMutexLock lock(shard.mu);
-    for (const auto& e : shard.records) {
-      const Version oldest = OldestLabel(shard, e, floor);
-      for (const auto& [v, value] : e.second.versions) {
-        out.emplace_back(e.first, std::max(v, oldest), value);
-      }
+  for (const auto& e : records_) {
+    const Version oldest = OldestLabel(e);
+    for (const auto& [v, value] : e.second.versions) {
+      out.emplace_back(e.first, std::max(v, oldest), value);
     }
   }
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
@@ -528,21 +322,12 @@ std::vector<std::tuple<std::string, Version, Value>> VersionedStore::DumpAll()
 
 std::vector<std::string> VersionedStore::Keys() const {
   std::vector<std::string> out;
-  for (const auto& shard : shards_) {
-    ReaderMutexLock lock(shard.mu);
-    for (const auto& [key, rec] : shard.records) out.push_back(key);
-  }
+  out.reserve(records_.size());
+  for (const auto& [key, rec] : records_) out.push_back(key);
   std::sort(out.begin(), out.end());
   return out;
 }
 
-size_t VersionedStore::KeyCount() const {
-  size_t n = 0;
-  for (const auto& shard : shards_) {
-    ReaderMutexLock lock(shard.mu);
-    n += shard.records.size();
-  }
-  return n;
-}
+size_t VersionedStore::KeyCount() const { return records_.size(); }
 
 }  // namespace threev

@@ -13,8 +13,6 @@
 #include <vector>
 
 #include "threev/common/ids.h"
-#include "threev/common/mutex.h"
-#include "threev/common/thread_annotations.h"
 #include "threev/common/status.h"
 #include "threev/metrics/metrics.h"
 #include "threev/txn/operation.h"
@@ -44,7 +42,7 @@ struct UndoEntry {
 //  * GarbageCollect(vr_new): for every item, if k(vr_new) exists drop all
 //    earlier versions, else relabel the latest earlier version as vr_new.
 //    The cost is the number of items written since the last GC, not the
-//    number stored: each shard keeps a dirty list of the records holding
+//    number stored: the store keeps a dirty list of the records holding
 //    more than one copy or a copy written below the floor, and GC applies
 //    the rule to those only. The store keeps `floor_`, the highest vr_new
 //    collected so far; an unlisted single-copy record keeps its old label
@@ -52,19 +50,13 @@ struct UndoEntry {
 //    exactly what relabelling it would have written. A stale or repeated
 //    GC leaves the floor where it is.
 //
-// Concurrency model (DESIGN.md section 11): reads against the frozen `vr`
-// never take an exclusive lock. Each shard carries a reader/writer lock
-// (readers share, updates exclude), and on top of that a direct-mapped
-// seqlock "fast slot" table serves the steady-state hit - a small,
-// single-version value - entirely lock-free: writers publish a validated
-// snapshot of the record under the shard lock, readers copy it out with a
-// retry loop and fall back to the shared-lock path on any conflict. Keys
-// are hashed exactly once per operation; the same hash picks the shard,
-// the fast slot, and the bucket inside the shard map.
-//
-// An update (check-create + apply) remains one atomic step per the paper's
-// requirement. Tracks the maximum number of simultaneous versions ever
-// observed (the paper proves <= 3).
+// Threading (DESIGN.md section 6): the owning node's thread is the only
+// writer, so the store takes no locks and an update (check-create + apply)
+// is one atomic step, as the paper requires, by construction. Const
+// methods may run on several threads at once while nothing writes (a
+// quiescent node, or a benchmark's readers). MaxVersionsObserved, the
+// maximum number of simultaneous versions ever observed (the paper proves
+// <= 3), may be read from any thread at any time.
 class VersionedStore {
  public:
   // `metrics` (optional, unowned) receives copy-on-update accounting.
@@ -131,8 +123,7 @@ class VersionedStore {
   std::map<Version, Value> DumpItem(const std::string& key) const;
 
   // Every (key, version, value) copy, sorted by key then version. Feeds
-  // checkpoint snapshots; call only at a quiesced point (shard locks are
-  // taken one at a time).
+  // checkpoint snapshots.
   std::vector<std::tuple<std::string, Version, Value>> DumpAll() const;
 
   std::vector<std::string> Keys() const;
@@ -154,21 +145,12 @@ class VersionedStore {
     int FindExact(Version v) const;
   };
 
-  // One-pass key hashing: FNV-1a computed once per public operation; the
-  // result selects the shard, the fast slot, and - via the transparent
-  // hasher below - the bucket inside the shard map, so the map never
-  // re-hashes the key bytes.
-  struct HashedKey {
-    std::string_view key;
-    size_t hash;
-  };
   static size_t HashKey(std::string_view key) {
     // Keys up to 16 bytes (the common account-id shape) hash branch-light:
     // two possibly-overlapping 8-byte loads and two multiplies, no loop.
     // Longer keys fall back to a word-at-a-time FNV walk. Both paths fold
     // in the length (so prefix keys padded with NULs hash apart) and end
-    // with an xor-shift so the low bits - which pick the shard - depend on
-    // every input byte; bare FNV's low bits are degenerate under % 16.
+    // with an xor-shift so the bucket index depends on every input byte.
     const char* p = key.data();
     size_t n = key.size();
     constexpr uint64_t kPrime = 1099511628211ull;  // FNV prime
@@ -200,115 +182,50 @@ class VersionedStore {
     return static_cast<size_t>(h ^ (h >> 32));
   }
   struct KeyHash {
-    using is_transparent = void;
-    size_t operator()(const HashedKey& k) const { return k.hash; }
     size_t operator()(const std::string& k) const { return HashKey(k); }
   };
-  struct KeyEq {
-    using is_transparent = void;
-    bool operator()(const std::string& a, const std::string& b) const {
-      return a == b;
-    }
-    bool operator()(const HashedKey& a, const std::string& b) const {
-      return a.key == b;
-    }
-    bool operator()(const std::string& a, const HashedKey& b) const {
-      return a == b.key;
-    }
-  };
-  using RecordMap = std::unordered_map<std::string, Record, KeyHash, KeyEq>;
+  using RecordMap = std::unordered_map<std::string, Record, KeyHash>;
   // A map node. Its address survives rehashing, so the dirty list can point
   // at it instead of copying the key.
   using Entry = RecordMap::value_type;
 
-  // Lock-free read cache: one direct-mapped seqlock slot per hash bucket.
-  // A slot holds a validated snapshot of a record in the steady state the
-  // paper's Theorem 4.2 makes common - exactly one version, small
-  // commuting-summary value - published by writers inside the shard's
-  // exclusive section. Readers copy the payload with relaxed atomic loads
-  // bracketed by the seqlock protocol (odd = write in progress; changed =
-  // torn read, retry), so the fast path is UB-free and tsan-clean: every
-  // cell is a std::atomic and the fences order payload against `seq`.
-  struct FastSlot {
-    static constexpr size_t kKeyWords = 6;  // inline key cap: 48 bytes
-    static constexpr size_t kStrWords = 4;  // inline payload cap: 32 bytes
-    static constexpr uint32_t kEmpty = 0;   // key_len 0 = unoccupied
-
-    std::atomic<uint32_t> seq{0};
-    // key_len | str_len << 8 (value `ids` must be empty to publish).
-    std::atomic<uint32_t> lens{kEmpty};
-    std::atomic<uint64_t> version{0};
-    std::atomic<int64_t> num{0};
-    std::atomic<uint64_t> key_words[kKeyWords] = {};
-    std::atomic<uint64_t> str_words[kStrWords] = {};
-  };
-
-  static constexpr size_t kNumShards = 16;
-  static constexpr size_t kSlotsPerShard = 64;
-  struct Shard {
-    mutable SharedMutex mu;
-    RecordMap records GUARDED_BY(mu);
-    // Records the next GC must visit: each record holding more than one
-    // copy, and each record written below the floor. Erasing a record
-    // removes it here; a record may appear twice, which GC folds.
-    std::vector<Entry*> dirty GUARDED_BY(mu);
-    // Set by a write below the floor, recomputed by each GC. While clear,
-    // no single-copy record below the floor is listed, so OldestLabel need
-    // not search `dirty`.
-    bool below_floor GUARDED_BY(mu) = false;
-    // Written only by exclusive holders of `mu`; read lock-free by the
-    // seqlock fast path (TryReadFast, the documented analysis opt-out).
-    FastSlot slots[kSlotsPerShard] GUARDED_BY(mu);
-  };
-
-  Shard& ShardFor(size_t hash) { return shards_[hash % kNumShards]; }
-  const Shard& ShardFor(size_t hash) const { return shards_[hash % kNumShards]; }
-  static size_t SlotIndex(size_t hash) {
-    // The low bits pick the shard; use an independent span for the slot.
-    return (hash >> 7) % kSlotsPerShard;
-  }
-
-  // Republishes or invalidates the fast slot for `key` after a record
-  // mutation. Must run inside the same exclusive section as the mutation
-  // so slot state never lags a released write. A copy labelled below
-  // `floor` is never published: the fast path reads every slot's label as
-  // at least the floor.
-  void RefreshSlot(Shard& shard, size_t hash, std::string_view key,
-                   const Record* rec, Version floor) REQUIRES(shard.mu);
-
-  // Seqlock fast path: returns true and fills `*out` iff the slot holds a
-  // validated snapshot for `key` usable at `max_version`.
-  bool TryReadFast(const Shard& shard, size_t hash, std::string_view key,
-                   Version max_version, Value* out) const;
-
+  // Returns the record for `key`, inserting an empty one if it is new.
+  Entry& FindOrInsert(const std::string& key);
   // Effective label of the oldest copy of `e`: the stored label, except
-  // that an unlisted single-copy record reads as at least `floor` (the
+  // that an unlisted single-copy record reads as at least floor_ (the
   // relabel GC skipped). Listed records carry exact labels.
-  static Version OldestLabel(const Shard& shard, const Entry& e, Version floor)
-      REQUIRES_SHARED(shard.mu);
+  Version OldestLabel(const Entry& e) const;
   // Index of the newest copy of `e` visible at `max_version`, or -1.
-  static int FindVisible(const Shard& shard, const Entry& e,
-                         Version max_version, Version floor)
-      REQUIRES_SHARED(shard.mu);
+  int FindVisible(const Entry& e, Version max_version) const;
+  // The copy of `key` visible at `max_version`; NotFound as Read reports it.
+  Result<const Value*> Visible(const std::string& key,
+                               Version max_version) const;
   // Writes the effective label into a single-copy record, so a mutation
   // sees exactly the copies an eager GC would have left.
-  static void Settle(Shard& shard, Entry& e, Version floor) REQUIRES(shard.mu);
+  void Settle(Entry& e);
   // Lists `e` for the next GC after a write at `version` if the write gave
   // it its second copy or landed below the floor.
-  static void TrackDirty(Shard& shard, Entry& e, size_t copies_before,
-                         Version version, Version floor) REQUIRES(shard.mu);
+  void TrackDirty(Entry& e, size_t copies_before, Version version);
 
   void NoteVersionCount(size_t n) {
-    size_t cur = max_versions_observed_.load(std::memory_order_relaxed);
-    while (n > cur && !max_versions_observed_.compare_exchange_weak(
-                          cur, n, std::memory_order_relaxed)) {
+    // Single writer: a plain load/store pair cannot lose a maximum.
+    if (n > max_versions_observed_.load(std::memory_order_relaxed)) {
+      max_versions_observed_.store(n, std::memory_order_relaxed);
     }
   }
 
   Metrics* metrics_;  // unowned, may be null
-  Shard shards_[kNumShards];
+  RecordMap records_;
+  // Records the next GC must visit: each record holding more than one
+  // copy, and each record written below the floor. Erasing a record
+  // removes it here; a record may appear twice, which GC folds.
+  std::vector<Entry*> dirty_;
+  // Set by a write below the floor, recomputed by each GC. While clear, no
+  // single-copy record below the floor is listed, so OldestLabel need not
+  // search `dirty_`.
+  bool below_floor_ = false;
   // Highest vr_new collected so far; raised with max, never lowered.
-  std::atomic<Version> floor_{0};
+  Version floor_ = 0;
   std::atomic<size_t> max_versions_observed_{0};
 };
 

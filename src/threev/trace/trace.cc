@@ -88,11 +88,11 @@ void Tracer::Record(Micros ts, NodeId node, TraceOp op, TraceKind kind,
   if (!enabled()) return;
   const uint64_t ticket = head_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[ticket & mask_];
-  // Seqlock publish (the FastSlot protocol, DESIGN.md section 11): odd marks
-  // the overwrite in progress, the release fence orders it before the
-  // payload, the final release store publishes. Snapshot() skips any slot
-  // whose seq is odd or moved - a lapped writer tears only the record being
-  // replaced, which was already the oldest in the ring.
+  // Seqlock publish (DESIGN.md section 12): odd marks the overwrite in
+  // progress, the release fence orders it before the payload, the final
+  // release store publishes. Snapshot() skips any slot whose seq is odd or
+  // moved - a lapped writer tears only the record being replaced, which was
+  // already the oldest in the ring.
   slot.seq.store(2 * ticket + 1, std::memory_order_relaxed);
   std::atomic_thread_fence(std::memory_order_release);
   slot.ts.store(ts, std::memory_order_relaxed);

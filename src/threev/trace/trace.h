@@ -60,8 +60,8 @@ struct TraceRecord {
 // records, written with relaxed atomics and a per-slot seqlock, so tracing
 // can stay on in production without a mutex anywhere near the hot path.
 //
-// Concurrency model (same family as VersionedStore::FastSlot, see DESIGN.md
-// section 11): every cell of a slot is a std::atomic, so concurrent access
+// Concurrency model (a per-slot seqlock, see DESIGN.md section 12): every
+// cell of a slot is a std::atomic, so concurrent access
 // is UB-free and tsan-clean by construction. A writer claims a ticket with
 // one fetch_add, marks its slot odd, stores the payload, then publishes the
 // even sequence with release order. Snapshot() re-validates each slot's

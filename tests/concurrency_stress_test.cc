@@ -1,31 +1,29 @@
-// Concurrency stress tests: many real threads hammering the primitives the
-// protocol layer leans on (BlockingQueue, the ThreadNet mailbox, WaitGroup,
-// Histogram, LockManager, VersionedStore). These exist primarily as tsan
-// fodder - run them under the `tsan` preset to turn latent races into hard
-// failures - but they also assert linearizable end-state invariants
-// (nothing lost, nothing duplicated, lock table empty) so they catch logic
-// races under the default build too.
+// Concurrency stress tests: many real threads hammering the primitives that
+// are shared between threads (BlockingQueue, the ThreadNet mailbox,
+// WaitGroup, Histogram). A node's store, counters and lock table belong to
+// its one thread and are tested single-threaded (storage_test,
+// store_property_test, lock_test). These exist primarily as tsan fodder -
+// run them under the `tsan` preset to turn latent races into hard failures
+// - but they also assert linearizable end-state invariants (nothing lost,
+// nothing duplicated) so they catch logic races under the default build
+// too.
 //
 // Registered with ctest label `stress`.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <limits>
 #include <optional>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "threev/common/queue.h"
 #include "threev/common/wait_group.h"
-#include "threev/lock/lock_manager.h"
 #include "threev/metrics/histogram.h"
-#include "threev/metrics/metrics.h"
 #include "threev/net/thread_net.h"
-#include "threev/storage/versioned_store.h"
 
 namespace threev {
 namespace {
@@ -214,6 +212,68 @@ TEST(ConcurrencyStressTest, ThreadNetStopWhileProducersSend) {
   }
 }
 
+// Owned timers armed from several threads at once: each fires exactly
+// once, as a kTimer message on its owner's worker - the thread that runs
+// the owner's other messages - and never on the timer thread.
+TEST(ConcurrencyStressTest, ThreadNetOwnedTimersFireOnTheOwnersWorker) {
+  constexpr int kEndpoints = 3;
+  constexpr int kArmers = 4;
+  constexpr uint64_t kPerArmer = 200;
+  struct Owner {
+    std::thread::id worker;  // set by the first (non-timer) message
+    std::vector<uint64_t> tokens;
+    int off_worker = 0;
+  };
+  std::array<Owner, kEndpoints> owners;
+  ThreadNet net;
+  WaitGroup hello;
+  hello.Add(kEndpoints);
+  WaitGroup fired;
+  fired.Add(kArmers * static_cast<int>(kPerArmer));
+  for (int e = 0; e < kEndpoints; ++e) {
+    net.RegisterEndpoint(e, [&, e](const Message& m) {
+      Owner& o = owners[e];
+      if (m.type != MsgType::kTimer) {
+        o.worker = std::this_thread::get_id();
+        hello.Done();
+        return;
+      }
+      if (std::this_thread::get_id() != o.worker) ++o.off_worker;
+      o.tokens.push_back(m.seq);
+      fired.Done();
+    });
+  }
+  net.Start();
+  for (int e = 0; e < kEndpoints; ++e) net.Send(e, ProducerMessage(e, 1));
+  ASSERT_TRUE(hello.WaitFor(std::chrono::seconds(10)));
+
+  std::vector<std::thread> armers;
+  for (int a = 0; a < kArmers; ++a) {
+    armers.emplace_back([&, a] {
+      for (uint64_t i = 0; i < kPerArmer; ++i) {
+        const uint64_t token = a * kPerArmer + i + 1;
+        net.ScheduleTimer(static_cast<NodeId>(token % kEndpoints),
+                          static_cast<Micros>(i % 5) * 100, token);
+      }
+    });
+  }
+  for (auto& t : armers) t.join();
+  ASSERT_TRUE(fired.WaitFor(std::chrono::seconds(10)));
+  net.Stop();
+
+  std::vector<uint64_t> all;
+  for (int e = 0; e < kEndpoints; ++e) {
+    EXPECT_EQ(owners[e].off_worker, 0) << "endpoint " << e;
+    for (uint64_t token : owners[e].tokens) {
+      EXPECT_EQ(token % kEndpoints, static_cast<uint64_t>(e));
+      all.push_back(token);
+    }
+  }
+  std::sort(all.begin(), all.end());
+  ASSERT_EQ(all.size(), kArmers * kPerArmer);
+  for (size_t i = 0; i < all.size(); ++i) EXPECT_EQ(all[i], i + 1);
+}
+
 // Concurrent Record() from many threads; totals must be exact after joins.
 TEST(ConcurrencyStressTest, HistogramConcurrentRecord) {
   constexpr int kThreads = 8;
@@ -261,241 +321,6 @@ TEST(ConcurrencyStressTest, WaitGroupChurn) {
     EXPECT_EQ(done.load(), kWorkers) << "round " << round;
     for (auto& t : workers) t.join();
   }
-}
-
-// Many owners acquiring commuting + non-commuting locks on a small hot key
-// set from real threads, releasing everything. End state: empty lock table,
-// every grant callback invoked exactly once.
-TEST(ConcurrencyStressTest, LockManagerContention) {
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 2'000;
-  constexpr int kKeys = 7;
-
-  LockManager lm;
-  std::atomic<int64_t> grants{0};
-  std::atomic<int64_t> denials{0};
-
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        uint64_t owner = static_cast<uint64_t>(t) * kPerThread + i + 1;
-        std::string key = "k" + std::to_string((t + i) % kKeys);
-        // Mostly commuting traffic (never blocks against itself), with a
-        // non-commuting writer every 16th acquisition to force queueing.
-        LockMode mode = (i % 16 == 15) ? LockMode::kNCWrite
-                        : (i % 2 == 0) ? LockMode::kCommuteUpdate
-                                       : LockMode::kCommuteRead;
-        WaitGroup granted;
-        granted.Add(1);
-        lm.Acquire(key, mode, owner, [&](bool ok) {
-          if (ok) {
-            grants.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            denials.fetch_add(1, std::memory_order_relaxed);
-          }
-          granted.Done();
-        });
-        granted.Wait();
-        lm.ReleaseAll(owner);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  EXPECT_EQ(grants.load() + denials.load(),
-            static_cast<int64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(denials.load(), 0);  // nothing cancels, so every wait resolves
-  EXPECT_EQ(lm.HeldCount(), 0u);
-  EXPECT_EQ(lm.WaiterCount(), 0u);
-}
-
-// Sharded store under concurrent commuting updates and reads of the same
-// hot keys; kAdd commutes, so the final sums are exact regardless of
-// interleaving - any lost update is a shard-locking bug.
-TEST(ConcurrencyStressTest, VersionedStoreConcurrentReadWrite) {
-  constexpr int kWriters = 4;
-  constexpr int kReaders = 4;
-  constexpr int kKeys = 16;
-  constexpr int kOpsPerWriter = 5'000;
-
-  VersionedStore store;
-  for (int k = 0; k < kKeys; ++k) {
-    store.Seed("key" + std::to_string(k), Value{}, /*version=*/1);
-  }
-  std::atomic<bool> stop{false};
-
-  std::vector<std::thread> writers;
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&, w] {
-      for (int i = 0; i < kOpsPerWriter; ++i) {
-        Operation op;
-        op.kind = OpKind::kAdd;
-        op.key = "key" + std::to_string((w + i) % kKeys);
-        op.arg = 1;
-        auto applied = store.Update(op.key, /*version=*/1, op);
-        ASSERT_TRUE(applied.ok());
-      }
-    });
-  }
-  std::vector<std::thread> readers;
-  for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        for (int k = 0; k < kKeys; ++k) {
-          // Exercises the read path against racing updates; the value is a
-          // monotone running sum, so any result in [0, total] is legal.
-          auto v = store.Read("key" + std::to_string(k), /*max_version=*/1);
-          if (v.ok()) {
-            ASSERT_GE(v->num, 0);
-          }
-        }
-      }
-    });
-  }
-  for (auto& t : writers) t.join();
-  stop.store(true, std::memory_order_relaxed);
-  for (auto& t : readers) t.join();
-
-  int64_t total = 0;
-  for (int k = 0; k < kKeys; ++k) {
-    auto v = store.Read("key" + std::to_string(k), /*max_version=*/1);
-    ASSERT_TRUE(v.ok());
-    total += v->num;
-  }
-  EXPECT_EQ(total, static_cast<int64_t>(kWriters) * kOpsPerWriter);
-  EXPECT_LE(store.MaxVersionsObserved(), kMaxSimultaneousVersions);
-}
-
-// Hammers the lock-free fast-slot read path specifically: every key here is
-// slot-eligible while it holds one copy (short key, no ids, str <= 32
-// bytes), so ReadInto serves from the seqlock slots while writers refresh
-// them and a GC thread collects the second copies the writers made. Versions
-// move as the protocol moves them: writers write at vu, readers read the
-// frozen vr, and the GC thread advances vu, waits until no writer is still
-// on the old vu, freezes it as vr, waits until no reader is still on the old
-// vr, then collects - so every GC drops copies and refreshes slots while
-// readers race it. Four invariants:
-//   1. num keys: monotone running sums, exact total at the end (lost update
-//      = shard locking bug).
-//   2. str keys: writers only ever store uniform-character strings, so any
-//      mixed-character or over-long string observed by a reader is a torn
-//      seqlock read escaping validation.
-//   3. NotFound never surfaces for seeded keys (a slot mismatch must fall
-//      back to the locked map, not fabricate a miss).
-//   4. GC visited records, i.e. the race above actually ran.
-TEST(ConcurrencyStressTest, VersionedStoreFastSlotReadersVsWritersAndGC) {
-  constexpr int kWriters = 2;
-  constexpr int kReaders = 4;
-  constexpr int kNumKeys = 8;
-  constexpr int kStrKeys = 4;
-  constexpr int kOpsPerWriter = 4'000;
-  constexpr Version kDone = std::numeric_limits<Version>::max();
-
-  Metrics metrics;
-  VersionedStore store(&metrics);
-  for (int k = 0; k < kNumKeys; ++k) {
-    store.Seed("hot" + std::to_string(k), Value{}, /*version=*/1);
-  }
-  for (int k = 0; k < kStrKeys; ++k) {
-    store.Seed("str" + std::to_string(k), Value{}, /*version=*/1);
-  }
-  std::atomic<bool> stop{false};
-  std::atomic<Version> vu{2};
-  std::atomic<Version> vr{1};
-  // The version each thread works at (kDone once finished): the test's
-  // stand-in for the R/C quiescence the advancement coordinator waits for.
-  std::vector<std::atomic<Version>> writer_at(kWriters);
-  std::vector<std::atomic<Version>> reader_at(kReaders);
-
-  std::vector<std::thread> writers;
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&, w] {
-      for (int i = 0; i < kOpsPerWriter; ++i) {
-        const Version v = vu.load();
-        writer_at[w].store(v);
-        Operation add;
-        add.kind = OpKind::kAdd;
-        add.key = "hot" + std::to_string((w + i) % kNumKeys);
-        add.arg = 1;
-        ASSERT_TRUE(store.Update(add.key, v, add).ok());
-        // Uniform-character payload, length 0..32: stays slot-eligible and
-        // makes torn string reads detectable.
-        Operation put;
-        put.kind = OpKind::kPut;
-        put.key = "str" + std::to_string(i % kStrKeys);
-        put.payload = std::string(i % 33, static_cast<char>('a' + (i % 8)));
-        ASSERT_TRUE(store.Update(put.key, v, put).ok());
-      }
-      writer_at[w].store(kDone);
-    });
-  }
-  // Returns false if the run stopped while waiting.
-  auto wait_all_reach = [&stop](std::vector<std::atomic<Version>>& at,
-                                Version v) {
-    for (auto& a : at) {
-      while (a.load() < v) {
-        if (stop.load()) return false;
-        std::this_thread::yield();
-      }
-    }
-    return true;
-  };
-  std::atomic<int> collections{0};
-  std::thread gc([&] {
-    while (!stop.load()) {
-      const Version frozen = vu.load();
-      vu.store(NextVersion(frozen));
-      if (!wait_all_reach(writer_at, NextVersion(frozen))) return;
-      vr.store(frozen);
-      if (!wait_all_reach(reader_at, frozen)) return;
-      store.GarbageCollect(frozen);
-      collections.fetch_add(1);
-    }
-  });
-  std::vector<std::thread> readers;
-  for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&, r] {
-      Value v;  // reused across calls, like the protocol layer does
-      while (!stop.load()) {
-        const Version at = vr.load();
-        reader_at[r].store(at);
-        for (int k = 0; k < kNumKeys; ++k) {
-          Status s = store.ReadInto("hot" + std::to_string(k), at, &v);
-          ASSERT_TRUE(s.ok());
-          ASSERT_GE(v.num, 0);
-          ASSERT_LE(v.num, int64_t{kWriters} * kOpsPerWriter);
-        }
-        for (int k = 0; k < kStrKeys; ++k) {
-          Status s = store.ReadInto("str" + std::to_string(k), at, &v);
-          ASSERT_TRUE(s.ok());
-          ASSERT_LE(v.str.size(), 32u);
-          for (char c : v.str) {
-            ASSERT_EQ(c, v.str[0]) << "torn string read";
-          }
-        }
-      }
-    });
-  }
-  for (auto& t : writers) t.join();
-  // Writers can finish before the GC thread gets going; two more full
-  // rounds collect the second copies they left, with readers still racing.
-  const int after_writes = collections.load();
-  while (collections.load() < after_writes + 2) std::this_thread::yield();
-  stop.store(true);
-  gc.join();
-  for (auto& t : readers) t.join();
-
-  int64_t total = 0;
-  for (int k = 0; k < kNumKeys; ++k) {
-    auto v = store.Read("hot" + std::to_string(k), vu.load());
-    ASSERT_TRUE(v.ok());
-    total += v->num;
-  }
-  EXPECT_EQ(total, int64_t{kWriters} * kOpsPerWriter);
-  EXPECT_LE(store.MaxVersionsObserved(), kMaxSimultaneousVersions);
-  EXPECT_GT(metrics.gc_records_visited.load(), 0)
-      << "GC never found a second copy to collect";
 }
 
 }  // namespace

@@ -241,6 +241,58 @@ TEST(CrashRecoveryTest, CrashedParticipantHonorsRetransmittedDecision) {
   EXPECT_TRUE(check.ok()) << check.Summary();
 }
 
+// A node timer armed by an incarnation that is killed and restarted before
+// the deadline never runs in the successor. The killed incarnation's lock
+// timeout still fires - into the restarted node's handler, as a kTimer
+// message - and its token matches nothing armed there, so the successor's
+// own lock wait times out a full nc_lock_timeout after it began. (With
+// per-incarnation tokens both timers would be token 1, and the old deadline
+// would abort the new wait early.)
+TEST(CrashRecoveryTest, KilledIncarnationTimerNeverRunsInItsSuccessor) {
+  Metrics metrics;
+  SimNet net(SimNetOptions{.seed = 41, .min_delay = 100,
+                           .mean_extra_delay = 200},
+             &metrics);
+  ClusterOptions options;
+  options.num_nodes = 1;
+  options.mode = NodeMode::kNC3V;
+  options.nc_lock_timeout = 50'000;
+  options.twopc_retry_interval = 0;  // the lock timeout is the only timer
+  options.wal_dir = TestDir("timer_incarnation");
+  Cluster cluster(options, &net, &metrics);
+  auto run = [&](const TxnSpec& spec) {
+    TxnResult result;
+    bool done = false;
+    cluster.Submit(0, spec, [&](const TxnResult& r) {
+      result = r;
+      done = true;
+    });
+    net.loop().RunUntil([&] { return done; });
+    return result;
+  };
+
+  // The first incarnation arms a lock timeout, takes the lock at once,
+  // commits, and dies well before the timer's deadline.
+  const Micros armed_at = net.Now();
+  ASSERT_TRUE(run(TxnBuilder(0).Put("a", "1").Build()).status.ok());
+  cluster.KillNode(0);
+  net.loop().RunFor(1'000);
+  cluster.RestartNode(0);
+
+  // The successor waits on a lock nobody releases; the old deadline falls
+  // inside that wait.
+  cluster.node(0).locks().Acquire("b", LockMode::kNCWrite, /*owner=*/999,
+                                  [](bool) {});
+  net.loop().RunFor(20'000);
+  const Micros wait_start = net.Now();
+  ASSERT_LT(wait_start, armed_at + options.nc_lock_timeout);
+  TxnResult waited = run(TxnBuilder(0).Put("b", "2").Build());
+  EXPECT_EQ(waited.status.code(), StatusCode::kAborted);
+  EXPECT_EQ(waited.status.message(), "lock wait timeout");
+  EXPECT_GE(waited.complete_time, wait_start + options.nc_lock_timeout);
+  cluster.node(0).locks().ReleaseAll(999);
+}
+
 // NC3V root crash after sending prepares but before any decision: presumed
 // abort. The restarted root finds the in-doubt transaction in its log with
 // no decision record, logs an abort, and re-drives it to every node -

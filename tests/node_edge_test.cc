@@ -1,6 +1,10 @@
 // Edge cases of the node engine: routing validation, empty plans, wide and
-// deep trees, the phase-3 read race, and message robustness.
+// deep trees, the phase-3 read race, message robustness, and the
+// owner-thread check.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <thread>
 
 #include "threev/core/cluster.h"
 #include "threev/net/sim_net.h"
@@ -194,6 +198,42 @@ TEST(NodeEdgeTest, SingleNodeClusterFullLifecycle) {
   TxnResult r = env.Run(0, TxnBuilder(0).Get("x").Build());
   EXPECT_EQ(r.reads.at("x").num, 10);
   EXPECT_TRUE(env.cluster.CheckInvariants().ok());
+}
+
+// A transport whose Send parks the sending thread until released, so a
+// test can hold one thread inside a node's handler.
+class ParkingNet : public Network {
+ public:
+  void RegisterEndpoint(NodeId, MessageHandler) override {}
+  void Send(NodeId, Message) override {
+    in_send.store(true);
+    while (!release.load()) std::this_thread::yield();
+  }
+  void ScheduleAfter(Micros, std::function<void()>) override {}
+  Micros Now() const override { return 0; }
+
+  std::atomic<bool> in_send{false};
+  std::atomic<bool> release{false};
+};
+
+// One thread owns a node: a second thread entering HandleMessage while the
+// first is still inside it aborts the process, in every build type.
+TEST(NodeDeathTest, TwoThreadsInOneHandlerAbort) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        ParkingNet net;
+        Node node(NodeOptions{}, &net, nullptr);
+        Message probe;
+        probe.type = MsgType::kCounterRead;  // replies, so it reaches Send
+        probe.from = 1;
+        std::thread first([&] { node.HandleMessage(probe); });
+        while (!net.in_send.load()) std::this_thread::yield();
+        node.HandleMessage(probe);
+        net.release.store(true);
+        first.join();
+      },
+      "two threads ran its handler at once");
 }
 
 }  // namespace

@@ -20,34 +20,10 @@
 #include "threev/core/cluster.h"
 #include "threev/net/tcp_net.h"
 #include "threev/net/wire.h"
+#include "test_ports.h"
 
 namespace threev {
 namespace {
-
-uint16_t BasePort() {
-  // Spread across runs to dodge TIME_WAIT collisions.
-  return static_cast<uint16_t>(42000 + (::getpid() % 1000) * 3);
-}
-
-// `n` distinct loopback ports that were free a moment ago (all bound to
-// port 0 at once, then released for the TcpNets to bind).
-std::vector<uint16_t> FreePorts(size_t n) {
-  std::vector<int> fds;
-  std::vector<uint16_t> ports;
-  for (size_t i = 0; i < n; ++i) {
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    socklen_t len = sizeof(addr);
-    EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), len), 0);
-    EXPECT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
-    fds.push_back(fd);
-    ports.push_back(ntohs(addr.sin_port));
-  }
-  for (int fd : fds) ::close(fd);
-  return ports;
-}
 
 // Appends one wire frame: u32 length, u32 destination, encoded message.
 void AppendFrame(std::vector<uint8_t>* out, NodeId dest, const Message& m) {
@@ -110,23 +86,19 @@ class TcpClusterTest : public ::testing::Test {
   static constexpr NodeId kNode0 = 0, kNode1 = 1, kCoord = 2, kClient = 3;
 
   void SetUp() override {
-    uint16_t base = BasePort();
+    ports_ = FreePorts(3);
     std::map<NodeId, std::string> peers = {
-        {kNode0, "127.0.0.1:" + std::to_string(base)},
-        {kNode1, "127.0.0.1:" + std::to_string(base + 1)},
-        {kCoord, "127.0.0.1:" + std::to_string(base + 2)},
-        {kClient, "127.0.0.1:" + std::to_string(base + 2)},
+        {kNode0, "127.0.0.1:" + std::to_string(ports_[0])},
+        {kNode1, "127.0.0.1:" + std::to_string(ports_[1])},
+        {kCoord, "127.0.0.1:" + std::to_string(ports_[2])},
+        {kClient, "127.0.0.1:" + std::to_string(ports_[2])},
     };
     net0_ = std::make_unique<TcpNet>(
-        TcpNetOptions{.peers = peers, .listen_port = base}, &metrics_);
+        TcpNetOptions{.peers = peers, .listen_port = ports_[0]}, &metrics_);
     net1_ = std::make_unique<TcpNet>(
-        TcpNetOptions{.peers = peers,
-                      .listen_port = static_cast<uint16_t>(base + 1)},
-        &metrics_);
+        TcpNetOptions{.peers = peers, .listen_port = ports_[1]}, &metrics_);
     net2_ = std::make_unique<TcpNet>(
-        TcpNetOptions{.peers = peers,
-                      .listen_port = static_cast<uint16_t>(base + 2)},
-        &metrics_);
+        TcpNetOptions{.peers = peers, .listen_port = ports_[2]}, &metrics_);
 
     NodeOptions n0;
     n0.id = kNode0;
@@ -169,6 +141,7 @@ class TcpClusterTest : public ::testing::Test {
     net2_->Stop();
   }
 
+  std::vector<uint16_t> ports_;  // node 0, node 1, coordinator + client
   Metrics metrics_;
   std::unique_ptr<TcpNet> net0_, net1_, net2_;
   std::unique_ptr<Node> node0_, node1_;
@@ -235,7 +208,7 @@ TEST_F(TcpClusterTest, AdvancementAndReadOverSockets) {
 TEST_F(TcpClusterTest, SurvivesGarbageConnection) {
   // An unrelated client connects to node 0's port and sends byte soup; the
   // node must drop that connection and keep serving real traffic.
-  uint16_t port = BasePort();
+  uint16_t port = ports_[0];
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(fd, 0);
   sockaddr_in addr{};

@@ -96,16 +96,18 @@ TEST(ThreadNetTest, ClusterUnderConcurrentLoad) {
   EXPECT_TRUE(check.ok()) << check.Summary();
 }
 
-// Mixed commuting / non-commuting load. With `wal_dir` set every node logs;
-// its lock-timeout and 2PC-retry timers run on the timer thread, so records
-// can be staged there while handlers stage and commit on the endpoint
-// thread.
+// Mixed commuting / non-commuting load. With `wal_dir` set every node logs.
+// A 1 us 2PC retry interval makes every non-commuting root's retry timer
+// fire while its votes or acks are still in flight, so node timers run -
+// as kTimer messages on the node's own worker (the handler's overlap check
+// would abort otherwise) - and stage and commit records there.
 void RunMixedNonCommutingLoad(const std::string& wal_dir, Metrics& metrics) {
   ThreadNet net(ThreadNetOptions{}, &metrics);
   ClusterOptions options;
   options.num_nodes = 3;
   options.mode = NodeMode::kNC3V;
   options.nc_lock_timeout = 20'000;
+  options.twopc_retry_interval = 1;
   options.wal_dir = wal_dir;
   Cluster cluster(options, &net, &metrics);
   net.Start();
@@ -143,6 +145,8 @@ void RunMixedNonCommutingLoad(const std::string& wal_dir, Metrics& metrics) {
   EXPECT_EQ(committed.load() + aborted.load(), kTotal);
   // All well-behaved traffic commits; only NC txns may time out.
   EXPECT_GE(committed.load(), kTotal * 4 / 5);
+  // Only a fired node timer (ArmTwopcRetry) retransmits.
+  EXPECT_GT(metrics.twopc_retransmits.load(), 0);
   net.Stop();
   for (size_t n = 0; n < 3; ++n) {
     EXPECT_EQ(cluster.node(n).locks().HeldCount(), 0u)
@@ -155,8 +159,8 @@ TEST(ThreadNetTest, MixedNonCommutingLoadResolves) {
   RunMixedNonCommutingLoad("", metrics);
 }
 
-// Every handler and timer callback commits what it staged, whichever thread
-// staged it: once the transport stops, every record is on disk.
+// Every handler, timer callbacks included, commits what it staged: once the
+// transport stops, every record is on disk.
 TEST(ThreadNetTest, MixedNonCommutingLoadWithWalLeavesNothingStaged) {
   const std::filesystem::path dir =
       std::filesystem::path(::testing::TempDir()) / "threev_thread_net_wal";

@@ -20,6 +20,7 @@
 #include "threev/net/tcp_net.h"
 #include "threev/net/thread_net.h"
 #include "threev/trace/trace.h"
+#include "test_ports.h"
 
 namespace threev {
 namespace {
@@ -216,18 +217,15 @@ TEST(TraceTest, AdminInspectOverTcpSockets) {
   // same-instance probe would take TcpNet's local bypass and never touch
   // the codec).
   constexpr NodeId kNode0 = 0, kCoord = 1, kClient = 2;
-  uint16_t base =
-      static_cast<uint16_t>(45500 + (::getpid() % 1000) * 2);
+  const std::vector<uint16_t> ports = FreePorts(2);
   std::map<NodeId, std::string> peers = {
-      {kNode0, "127.0.0.1:" + std::to_string(base)},
-      {kCoord, "127.0.0.1:" + std::to_string(base + 1)},
-      {kClient, "127.0.0.1:" + std::to_string(base + 1)},
+      {kNode0, "127.0.0.1:" + std::to_string(ports[0])},
+      {kCoord, "127.0.0.1:" + std::to_string(ports[1])},
+      {kClient, "127.0.0.1:" + std::to_string(ports[1])},
   };
   Metrics metrics;
-  TcpNet net0(TcpNetOptions{.peers = peers, .listen_port = base}, &metrics);
-  TcpNet net1(TcpNetOptions{.peers = peers,
-                            .listen_port = static_cast<uint16_t>(base + 1)},
-              &metrics);
+  TcpNet net0(TcpNetOptions{.peers = peers, .listen_port = ports[0]}, &metrics);
+  TcpNet net1(TcpNetOptions{.peers = peers, .listen_port = ports[1]}, &metrics);
 
   NodeOptions nopts;
   nopts.id = kNode0;

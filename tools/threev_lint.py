@@ -15,12 +15,11 @@ analysis can express, because they live above the type system:
   lock-blocking      No direct blocking call (Send, fsync/fdatasync, sleeps,
                      condition waits) while a MutexLock on a protocol-layer
                      mutex is lexically in scope, in core/ storage/ lock/
-                     verify/ baseline/. This is DESIGN.md's "the node mutex
-                     is never held across a Send" rule, machine-checked.
-                     Lexical only: calls via helpers (e.g. LogRecord, whose
-                     wal_mu_-ordered fsync is load-bearing for quiescence
-                     soundness - see DESIGN.md section 5) are deliberately
-                     out of scope.
+                     verify/ baseline/. This is DESIGN.md's "no lock is
+                     held across a Send" rule for the classes that keep
+                     locks (the coordinator, the policy driver, the
+                     cluster), machine-checked. Lexical only: calls via
+                     helpers are deliberately out of scope.
 
   version-arith      Version variables never take raw +1/+2/-1/-2 literals;
                      protocol code must use the ids.h helpers (NextVersion,
@@ -40,9 +39,10 @@ analysis can express, because they live above the type system:
 
   analysis-optout    Every NO_THREAD_SAFETY_ANALYSIS carries an adjacent
                      `// SAFETY:` comment stating why the unsynchronized
-                     access is sound. The seqlock read path in
-                     VersionedStore is the documented, load-bearing opt-out
-                     this rule exists to keep honest.
+                     access is sound (for example: the code runs before
+                     the object is published to any other thread). An
+                     undocumented opt-out is a silent hole in the
+                     -Wthread-safety tier.
 
   metrics-observability
                      Every field of Metrics (atomic counter or Histogram)
@@ -71,6 +71,14 @@ analysis can express, because they live above the type system:
                      is declared. An endpoint's worker reads its own
                      inbound sockets; a thread per connection must not
                      come back.
+
+  node-owned         A node's state belongs to the one thread that runs
+                     its handler (DESIGN.md section 6), so core/node.*,
+                     core/counters.*, lock/ and storage/ name no lock:
+                     no Mutex, SharedMutex, MutexLock, raw std::mutex
+                     family, GUARDED_BY, REQUIRES or EXCLUDES. A lock
+                     there would guard state no second thread may touch,
+                     or hide one that does.
 
 Usage:
   tools/threev_lint.py [--root REPO_ROOT]   lint the tree (exit 1 on findings)
@@ -273,7 +281,7 @@ BLOCKING_PATTERNS = [
 ]
 
 GUARD_RE = re.compile(
-    r"\b(?:MutexLock|ReaderMutexLock|SharedMutexLock|"
+    r"\b(?:MutexLock|"
     r"std::lock_guard\s*<[^>]*>|std::unique_lock\s*<[^>]*>|"
     r"std::scoped_lock(?:\s*<[^>]*>)?)\s+\w+\s*[({]")
 
@@ -424,13 +432,13 @@ def check_capability(files):
 # Rule: documented analysis opt-outs
 # ---------------------------------------------------------------------------
 #
-# NO_THREAD_SAFETY_ANALYSIS is a hole in the -Wthread-safety tier, but some
-# holes are load-bearing: the VersionedStore seqlock read path reads
-# GUARDED_BY cells without the lock *by design*, with its own validation
-# protocol (every cell atomic, seq re-check, locked fallback). The rule is
-# not "never opt out" - it is "every opt-out carries its safety argument":
-# the macro must have a `SAFETY:` comment within the preceding few lines
-# explaining why the unsynchronized access is sound.
+# NO_THREAD_SAFETY_ANALYSIS is a hole in the -Wthread-safety tier, but a
+# hole can be sound: code that runs before its object is published to any
+# other thread, or a read validated by its own protocol (every cell atomic,
+# a sequence re-check). The rule is not "never opt out" - it is "every
+# opt-out carries its safety argument": the macro must have a `SAFETY:`
+# comment within the preceding few lines explaining why the unsynchronized
+# access is sound.
 
 OPTOUT_MACRO = "NO_THREAD_SAFETY_ANALYSIS"
 OPTOUT_EXCLUDE = {"src/threev/common/thread_annotations.h"}
@@ -455,7 +463,7 @@ def check_analysis_optout(files):
                     "analysis-optout", f.path, line,
                     f"{OPTOUT_MACRO} without an adjacent `// SAFETY:` comment;"
                     " every opt-out must state why the unsynchronized access"
-                    " is sound (see the seqlock read path for the pattern)"))
+                    " is sound"))
     return findings
 
 
@@ -703,6 +711,37 @@ def check_net_threads(files):
     return findings
 
 
+# ---------------------------------------------------------------------------
+# Rule: node-owned state takes no locks. Handlers, timer callbacks included,
+# run on the node's own thread, so the node, its counters, its lock table
+# and its store are single-threaded by construction (DESIGN.md section 6).
+# A lock there would guard nothing - or hide a second thread that must not
+# exist; the overlap check in Node::HandleMessage catches the latter at run
+# time, this rule keeps the former from creeping back.
+
+NODE_OWNED_PREFIXES = ("src/threev/core/node.", "src/threev/core/counters.",
+                       "src/threev/lock/", "src/threev/storage/")
+NODE_OWNED_BANNED_RE = re.compile(
+    r"\b(?:Mutex|SharedMutex|MutexLock|(?:PT_)?GUARDED_BY|"
+    r"REQUIRES(?:_SHARED)?|EXCLUDES)\b|"
+    r"\bstd::(?:recursive_|timed_|shared_)?mutex\b")
+
+
+def check_node_owned(files):
+    findings = []
+    for f in files:
+        path = f.path.replace(os.sep, "/")
+        if not path.startswith(NODE_OWNED_PREFIXES):
+            continue
+        for m in NODE_OWNED_BANNED_RE.finditer(f.code):
+            findings.append(Finding(
+                "node-owned", path, f.line_of(m.start()),
+                f"`{m.group(0)}` in node-owned code; one thread runs a "
+                "node's handlers and timers, so its state takes no locks "
+                "(DESIGN.md section 6)"))
+    return findings
+
+
 RULES = [
     check_wire_symmetry,
     check_lock_blocking,
@@ -714,6 +753,7 @@ RULES = [
     check_message_fields,
     check_node_send,
     check_net_threads,
+    check_node_owned,
 ]
 
 
@@ -905,34 +945,16 @@ void ThreadNet::TimerLoop() {
     expect("wrapper file exempt", check_capability([wrapper]),
            "capability", False)
 
-    # --- lock blocking: shared/reader guards count as guards --------------
-    bad_reader = _mkfile("src/threev/storage/versioned_store.cc", """
-void VersionedStore::Bad() {
-  ReaderMutexLock lock(shard.mu);
-  network_->Send(0, std::move(m));
-}
-""")
-    expect("send under reader lock", check_lock_blocking([bad_reader]),
-           "lock-blocking", True)
-    bad_shared = _mkfile("src/threev/storage/versioned_store.cc", """
-void VersionedStore::Bad2() {
-  SharedMutexLock lock(shard.mu);
-  fsync(fd);
-}
-""")
-    expect("fsync under shared lock", check_lock_blocking([bad_shared]),
-           "lock-blocking", True)
-
     # --- analysis opt-out documentation -----------------------------------
-    bad_optout = _mkfile("src/threev/storage/store.h",
-                         "bool TryReadFast() NO_THREAD_SAFETY_ANALYSIS;\n")
+    bad_optout = _mkfile("src/threev/core/coordinator.h",
+                         "void Restore() NO_THREAD_SAFETY_ANALYSIS;\n")
     expect("undocumented opt-out", check_analysis_optout([bad_optout]),
            "analysis-optout", True)
     good_optout = _mkfile(
-        "src/threev/storage/store.h",
-        "// SAFETY: seqlock-validated snapshot; all cells are atomics and a\n"
-        "// torn read is retried or handed to the locked fallback.\n"
-        "bool TryReadFast() NO_THREAD_SAFETY_ANALYSIS;\n")
+        "src/threev/core/coordinator.h",
+        "// SAFETY: runs from the constructor, before the object is\n"
+        "// published to any other thread.\n"
+        "void Restore() NO_THREAD_SAFETY_ANALYSIS;\n")
     expect("documented opt-out", check_analysis_optout([good_optout]),
            "analysis-optout", False)
     macro_def = _mkfile("src/threev/common/thread_annotations.h",
@@ -1160,6 +1182,39 @@ void ThreadNet::Deliver(NodeId to, Message&& msg) {
 """)
     expect("temporary thread outside the Start functions",
            check_net_threads([temp_thread]), "net-threads", True)
+
+    # --- node-owned -------------------------------------------------------
+    owned_clean = [
+        _mkfile("src/threev/core/node.h",
+                "// One thread owns the node; no Mutex, no GUARDED_BY.\n"
+                "std::atomic<bool> halted_{false};\n"
+                "std::map<SubtxnId, PendingSubtxn> pending_;\n"),
+        _mkfile("src/threev/storage/versioned_store.cc",
+                "Status s = Status::NotFound(\"Mutex\");\n"),
+        # Classes shared between threads keep their locks.
+        _mkfile("src/threev/core/coordinator.h",
+                "mutable Mutex mu_;\nint epoch_ GUARDED_BY(mu_) = 0;\n"),
+        _mkfile("src/threev/core/cluster.cc", "MutexLock lock(mu_);\n"),
+    ]
+    expect("node-owned code without locks", check_node_owned(owned_clean),
+           "node-owned", False)
+    for path, text in [
+        ("src/threev/core/node.h", "mutable Mutex mu_;\n"),
+        ("src/threev/core/node.cc", "MutexLock lock(mu_);\n"),
+        ("src/threev/core/counters.h",
+         "std::map<Version, Row> rows_ GUARDED_BY(mu_);\n"),
+        ("src/threev/lock/lock_manager.h",
+         "void ReleaseAll(uint64_t owner) EXCLUDES(mu_);\n"),
+        ("src/threev/lock/lock_manager.cc",
+         "void Promote() REQUIRES(mu_);\n"),
+        ("src/threev/storage/versioned_store.h",
+         "mutable SharedMutex mu;\n"),
+        ("src/threev/storage/versioned_store.cc", "std::mutex mu;\n"),
+        ("src/threev/storage/versioned_store.h",
+         "std::shared_mutex mu;\n"),
+    ]:
+        expect(f"lock in node-owned {path}",
+               check_node_owned([_mkfile(path, text)]), "node-owned", True)
 
     # --- stripping machinery ---------------------------------------------
     stripped = strip_comments_and_strings(
