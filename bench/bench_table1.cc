@@ -126,6 +126,7 @@ int main() {
   std::printf("t08    [coord] version advancement begins (notices sent)\n");
   bool advanced = false;
   r.cluster.coordinator().StartAdvancement([&](Status) { advanced = true; });
+  r.net.loop().RunFor(0);  // phase 1 begins on the coordinator's own turn
 
   std::printf("t09-10 [q] advancement notice arrives; q: vu 1 -> 2\n");
   r.Deliver(coord, q, kStartAdv);

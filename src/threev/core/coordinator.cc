@@ -1,5 +1,8 @@
 #include "threev/core/coordinator.h"
 
+#include <string>
+#include <utility>
+
 #include "threev/common/logging.h"
 #include "threev/trace/introspect.h"
 
@@ -13,28 +16,9 @@ AdvanceCoordinator::AdvanceCoordinator(const CoordinatorOptions& options,
       metrics_(metrics),
       history_(history),
       tracer_(options.tracer),
+      timers_(network, options.id),
       c_matrix_(options.num_nodes * options.num_nodes, 0),
       r_matrix_(options.num_nodes * options.num_nodes, 0) {}
-
-bool AdvanceCoordinator::running() const {
-  MutexLock lock(mu_);
-  return phase_ != Phase::kIdle;
-}
-
-Version AdvanceCoordinator::vu() const {
-  MutexLock lock(mu_);
-  return vu_view_;
-}
-
-Version AdvanceCoordinator::vr() const {
-  MutexLock lock(mu_);
-  return vr_view_;
-}
-
-uint64_t AdvanceCoordinator::completed_count() const {
-  MutexLock lock(mu_);
-  return completed_;
-}
 
 uint64_t AdvanceCoordinator::WaveSeq(bool r_wave) const {
   // Tags a counter-read wave uniquely within an epoch so stale replies
@@ -43,98 +27,87 @@ uint64_t AdvanceCoordinator::WaveSeq(bool r_wave) const {
 }
 
 bool AdvanceCoordinator::StartAdvancement(DoneCallback done) {
-  Version vu_new;
-  uint64_t epoch;
-  {
-    MutexLock lock(mu_);
-    if (phase_ != Phase::kIdle) return false;
-    ++epoch_;
-    epoch = epoch_;
-    phase_ = Phase::kSwitchUpdate;
-    vu_new = NextVersion(vu_view_);
-    done_ = std::move(done);
-    start_time_ = network_->Now();
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      adv_trace_ = tracer_->BeginSpan(start_time_, options_.id,
-                                      TraceOp::kAdvancement, TraceContext{},
-                                      static_cast<int64_t>(epoch));
-      phase_trace_ = tracer_->BeginSpan(start_time_, options_.id,
-                                        TraceOp::kAdvancePhase, adv_trace_,
-                                        /*arg=*/1);
-    }
-  }
-  BeginStage(MsgType::kStartAdvancement, vu_new, /*flag=*/false, epoch);
+  if (claimed_.exchange(true, std::memory_order_acq_rel)) return false;
+  done_ = std::move(done);
+  network_->ScheduleTimer(options_.id, 0, start_token_);
   return true;
+}
+
+void AdvanceCoordinator::BeginAdvancement() {
+  ++epoch_;
+  phase_ = Phase::kSwitchUpdate;
+  start_time_ = network_->Now();
+  if (tracer_ != nullptr && tracer_->enabled()) {
+    adv_trace_ = tracer_->BeginSpan(start_time_, options_.id,
+                                    TraceOp::kAdvancement, TraceContext{},
+                                    static_cast<int64_t>(epoch_));
+    phase_trace_ = tracer_->BeginSpan(start_time_, options_.id,
+                                      TraceOp::kAdvancePhase, adv_trace_,
+                                      /*arg=*/1);
+  }
+  BeginStage(MsgType::kStartAdvancement, NextVersion(vu()), /*flag=*/false,
+             epoch_);
 }
 
 void AdvanceCoordinator::BeginStage(MsgType type, Version version, bool flag,
                                     uint64_t seq) {
-  uint64_t token;
-  std::vector<NodeId> targets;
-  TraceContext trace;
-  {
-    MutexLock lock(mu_);
-    awaiting_.clear();
-    for (NodeId n = 0; n < options_.num_nodes; ++n) awaiting_.insert(n);
-    stage_type_ = type;
-    stage_version_ = version;
-    stage_flag_ = flag;
-    stage_seq_ = seq;
-    token = ++stage_token_;
-    stage_retries_ = 0;
-    targets.assign(awaiting_.begin(), awaiting_.end());
-    trace = phase_trace_;
-  }
-  SendTo(targets, type, version, flag, seq, trace);
-  ArmRetransmit(token);
+  awaiting_.clear();
+  for (NodeId n = 0; n < options_.num_nodes; ++n) awaiting_.insert(n);
+  stage_type_ = type;
+  stage_version_ = version;
+  stage_flag_ = flag;
+  stage_seq_ = seq;
+  stage_retries_ = 0;
+  stalled_ = false;
+  SendStage();
+  timers_.Cancel(retransmit_token_);
+  ArmRetransmit();
 }
 
-void AdvanceCoordinator::SendTo(const std::vector<NodeId>& targets,
-                                MsgType type, Version version, bool flag,
-                                uint64_t seq, const TraceContext& trace) {
-  for (NodeId n : targets) {
+void AdvanceCoordinator::SendStage() {
+  for (NodeId n : awaiting_) {
     Message m;
-    m.type = type;
+    m.type = stage_type_;
     m.from = options_.id;
-    m.version = version;
-    m.flag = flag;
-    m.seq = seq;
-    m.trace = trace;
+    m.version = stage_version_;
+    m.flag = stage_flag_;
+    m.seq = stage_seq_;
+    m.trace = phase_trace_;
     network_->Send(n, std::move(m));
   }
 }
 
-void AdvanceCoordinator::ArmRetransmit(uint64_t token) {
+void AdvanceCoordinator::ArmRetransmit() {
   if (options_.retry_interval <= 0) return;
-  network_->ScheduleAfter(options_.retry_interval, [this, token] {
-    std::vector<NodeId> targets;
-    MsgType type = MsgType::kStartAdvancement;
-    Version version = 0;
-    bool flag = false;
-    uint64_t seq = 0;
-    TraceContext trace;
-    {
-      MutexLock lock(mu_);
-      if (token != stage_token_ || awaiting_.empty()) return;
-      if (++stage_retries_ > options_.max_stage_retries) return;
-      targets.assign(awaiting_.begin(), awaiting_.end());
-      type = stage_type_;
-      version = stage_version_;
-      flag = stage_flag_;
-      seq = stage_seq_;
-      trace = phase_trace_;
-      if (metrics_ != nullptr) {
-        metrics_->advancement_retransmits.fetch_add(
-            static_cast<int64_t>(targets.size()), std::memory_order_relaxed);
-      }
+  retransmit_token_ = timers_.Arm(options_.retry_interval, [this] {
+    if (awaiting_.empty()) return;
+    if (stage_retries_ >= options_.max_stage_retries) {
+      stalled_ = true;
+      std::string nodes;
+      for (NodeId n : awaiting_) nodes += " " + std::to_string(n);
+      THREEV_LOG(kWarn) << "coordinator: " << MsgTypeName(stage_type_)
+                        << " stage stalled after " << stage_retries_
+                        << " retransmits; still awaiting nodes" << nodes;
+      return;
     }
-    SendTo(targets, type, version, flag, seq, trace);
-    ArmRetransmit(token);
+    ++stage_retries_;
+    if (metrics_ != nullptr) {
+      metrics_->advancement_retransmits.fetch_add(
+          static_cast<int64_t>(awaiting_.size()), std::memory_order_relaxed);
+    }
+    SendStage();
+    ArmRetransmit();
   });
 }
 
-void AdvanceCoordinator::SwitchPhaseSpanLocked(Micros ts, int64_t ended,
-                                               int64_t started) {
+bool AdvanceCoordinator::LastAck(Phase phase, const Message& msg) {
+  if (phase_ != phase || msg.seq != epoch_) return false;
+  awaiting_.erase(msg.from);
+  return awaiting_.empty();
+}
+
+void AdvanceCoordinator::SwitchPhaseSpan(Micros ts, int64_t ended,
+                                         int64_t started) {
   if (tracer_ == nullptr || !tracer_->enabled()) return;
   tracer_->EndSpan(ts, options_.id, TraceOp::kAdvancePhase, phase_trace_,
                    ended);
@@ -146,291 +119,189 @@ void AdvanceCoordinator::SwitchPhaseSpanLocked(Micros ts, int64_t ended,
 }
 
 void AdvanceCoordinator::HandleMessage(const Message& msg) {
+  HandlerScope owner(in_handler_, "coordinator", options_.id);
   switch (msg.type) {
-    case MsgType::kStartAdvancementAck: {
-      bool proceed = false;
-      Version quiesce = 0;
-      {
-        MutexLock lock(mu_);
-        if (phase_ != Phase::kSwitchUpdate || msg.seq != epoch_) return;
-        awaiting_.erase(msg.from);
-        if (awaiting_.empty()) {
-          // Every node now assigns vu_new to new roots; version vu_old can
-          // only shrink. Move to phase 2.
-          vu_view_ = NextVersion(vu_view_);
-          phase_ = Phase::kPhaseOut;
-          check_version_ = PrevVersion(vu_view_);
-          quiesce = check_version_;
-          proceed = true;
-          SwitchPhaseSpanLocked(network_->Now(), /*ended=*/1, /*started=*/2);
-        }
-      }
-      if (proceed) BeginRound(quiesce);
+    case MsgType::kStartAdvancementAck:
+      if (!LastAck(Phase::kSwitchUpdate, msg)) break;
+      // Every node now assigns vu_new to new roots; version vu_old can
+      // only shrink. Move to phase 2.
+      vu_view_.store(NextVersion(vu()), std::memory_order_release);
+      phase_ = Phase::kPhaseOut;
+      check_version_ = PrevVersion(vu());
+      SwitchPhaseSpan(network_->Now(), /*ended=*/1, /*started=*/2);
+      BeginRound();
       break;
-    }
     case MsgType::kCounterReadReply:
       OnCounterReply(msg);
       break;
-    case MsgType::kReadVersionAdvanceAck: {
-      bool proceed = false;
-      Version quiesce = 0;
-      {
-        MutexLock lock(mu_);
-        if (phase_ != Phase::kSwitchRead || msg.seq != epoch_) return;
-        awaiting_.erase(msg.from);
-        if (awaiting_.empty()) {
-          vr_view_ = NextVersion(vr_view_);
-          phase_ = Phase::kDrainReads;
-          check_version_ = PrevVersion(vr_view_);
-          quiesce = check_version_;
-          proceed = true;
-          SwitchPhaseSpanLocked(network_->Now(), /*ended=*/3, /*started=*/4);
-        }
-      }
-      if (proceed) BeginRound(quiesce);
+    case MsgType::kReadVersionAdvanceAck:
+      if (!LastAck(Phase::kSwitchRead, msg)) break;
+      vr_view_.store(NextVersion(vr()), std::memory_order_release);
+      phase_ = Phase::kDrainReads;
+      check_version_ = PrevVersion(vr());
+      SwitchPhaseSpan(network_->Now(), /*ended=*/3, /*started=*/4);
+      BeginRound();
       break;
-    }
-    case MsgType::kGarbageCollectAck: {
-      bool finished = false;
-      {
-        MutexLock lock(mu_);
-        if (phase_ != Phase::kGarbageCollect || msg.seq != epoch_) return;
-        awaiting_.erase(msg.from);
-        if (awaiting_.empty()) finished = true;
-      }
-      if (finished) FinishAdvancement();
+    case MsgType::kGarbageCollectAck:
+      if (LastAck(Phase::kGarbageCollect, msg)) FinishAdvancement();
       break;
-    }
     case MsgType::kAdminInspect:
       OnAdminInspect(msg);
+      break;
+    case MsgType::kTimer:
+      if (msg.seq == start_token_) {
+        BeginAdvancement();
+      } else if (msg.seq == auto_token_.load(std::memory_order_acquire)) {
+        AutoTick(msg.seq);
+      } else {
+        timers_.Fire(msg);
+      }
       break;
     default:
       THREEV_LOG(kWarn) << "coordinator: unexpected " << msg.ToString();
   }
 }
 
-void AdvanceCoordinator::BeginRound(Version version) {
-  {
-    MutexLock lock(mu_);
-    ++round_;
-    std::fill(c_matrix_.begin(), c_matrix_.end(), 0);
-    std::fill(r_matrix_.begin(), r_matrix_.end(), 0);
-  }
-  SendWave(version, /*r_wave=*/false);
+void AdvanceCoordinator::BeginRound() {
+  ++round_;
+  std::fill(c_matrix_.begin(), c_matrix_.end(), 0);
+  std::fill(r_matrix_.begin(), r_matrix_.end(), 0);
+  SendWave(/*r_wave=*/false);
 }
 
-void AdvanceCoordinator::SendWave(Version version, bool r_wave) {
-  uint64_t seq;
-  {
-    MutexLock lock(mu_);
-    r_wave_ = r_wave;
-    seq = WaveSeq(r_wave);
-  }
-  BeginStage(MsgType::kCounterRead, version, r_wave, seq);
+void AdvanceCoordinator::SendWave(bool r_wave) {
+  r_wave_ = r_wave;
+  BeginStage(MsgType::kCounterRead, check_version_, r_wave, WaveSeq(r_wave));
 }
 
 void AdvanceCoordinator::OnCounterReply(const Message& msg) {
-  bool wave_done = false;
-  bool was_r_wave = false;
-  Version version = 0;
-  {
-    MutexLock lock(mu_);
-    if (phase_ != Phase::kPhaseOut && phase_ != Phase::kDrainReads) return;
-    if (msg.seq != WaveSeq(r_wave_) || msg.flag != r_wave_) return;
-    if (awaiting_.erase(msg.from) == 0) return;  // duplicate reply
-    size_t n = options_.num_nodes;
-    if (r_wave_) {
-      // msg.counters_r: R(version)[msg.from][q] for every q.
-      for (const auto& [q, count] : msg.counters_r) {
-        if (q < n) r_matrix_[msg.from * n + q] = count;
-      }
-    } else {
-      // msg.counters_c: C(version)[o][msg.from] for every o.
-      for (const auto& [o, count] : msg.counters_c) {
-        if (o < n) c_matrix_[o * n + msg.from] = count;
-      }
+  if (phase_ != Phase::kPhaseOut && phase_ != Phase::kDrainReads) return;
+  if (msg.seq != WaveSeq(r_wave_) || msg.flag != r_wave_) return;
+  if (awaiting_.erase(msg.from) == 0) return;  // duplicate reply
+  size_t n = options_.num_nodes;
+  if (r_wave_) {
+    // msg.counters_r: R(version)[msg.from][q] for every q.
+    for (const auto& [q, count] : msg.counters_r) {
+      if (q < n) r_matrix_[msg.from * n + q] = count;
     }
-    if (awaiting_.empty()) {
-      wave_done = true;
-      was_r_wave = r_wave_;
-      version = check_version_;
+  } else {
+    // msg.counters_c: C(version)[o][msg.from] for every o.
+    for (const auto& [o, count] : msg.counters_c) {
+      if (o < n) c_matrix_[o * n + msg.from] = count;
     }
   }
-  if (!wave_done) return;
-  if (!was_r_wave) {
+  if (!awaiting_.empty()) return;
+  if (!r_wave_) {
     // Wave 1 complete; only now may wave 2 start (the strict ordering the
     // soundness argument depends on).
-    SendWave(version, /*r_wave=*/true);
+    SendWave(/*r_wave=*/true);
     return;
   }
   EvaluateRound();
 }
 
 void AdvanceCoordinator::EvaluateRound() {
-  bool quiescent = true;
-  Version version;
-  {
-    MutexLock lock(mu_);
-    size_t n = options_.num_nodes;
-    for (size_t i = 0; i < n * n && quiescent; ++i) {
-      if (r_matrix_[i] != c_matrix_[i]) quiescent = false;
-    }
-    version = check_version_;
-    if (metrics_ != nullptr) {
-      metrics_->quiescence_rounds.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      tracer_->Instant(network_->Now(), options_.id,
-                       TraceOp::kQuiescenceWave, phase_trace_,
-                       /*msg_type=*/0, static_cast<int64_t>(round_));
-    }
+  if (metrics_ != nullptr) {
+    metrics_->quiescence_rounds.fetch_add(1, std::memory_order_relaxed);
   }
-  if (quiescent) {
+  if (tracer_ != nullptr && tracer_->enabled()) {
+    tracer_->Instant(network_->Now(), options_.id, TraceOp::kQuiescenceWave,
+                     phase_trace_, /*msg_type=*/0,
+                     static_cast<int64_t>(round_));
+  }
+  if (r_matrix_ == c_matrix_) {
     AdvancePhase();
     return;
   }
   // Try again after a beat; user transactions keep flowing meanwhile.
-  network_->ScheduleAfter(options_.poll_interval,
-                          [this, version] { BeginRound(version); });
+  timers_.Arm(options_.poll_interval, [this] { BeginRound(); });
 }
 
 void AdvanceCoordinator::AdvancePhase() {
-  Phase phase;
-  Version vr_new = 0;
-  uint64_t epoch = 0;
-  {
-    MutexLock lock(mu_);
-    phase = phase_;
-    epoch = epoch_;
-    if (phase == Phase::kPhaseOut) {
-      // Version vu_old is consistent across all nodes: expose it to reads.
-      phase_ = Phase::kSwitchRead;
-      vr_new = NextVersion(vr_view_);
-      read_switch_time_ = network_->Now();
-      SwitchPhaseSpanLocked(read_switch_time_, /*ended=*/2, /*started=*/3);
-    } else if (phase == Phase::kDrainReads) {
-      // All queries on vr_old have terminated: garbage-collect.
-      phase_ = Phase::kGarbageCollect;
-      vr_new = vr_view_;
-    }
-  }
-  if (phase == Phase::kPhaseOut) {
-    BeginStage(MsgType::kReadVersionAdvance, vr_new, /*flag=*/false, epoch);
-  } else if (phase == Phase::kDrainReads) {
-    BeginStage(MsgType::kGarbageCollect, vr_new, /*flag=*/false, epoch);
+  if (phase_ == Phase::kPhaseOut) {
+    // Version vu_old is consistent across all nodes: expose it to reads.
+    phase_ = Phase::kSwitchRead;
+    read_switch_time_ = network_->Now();
+    SwitchPhaseSpan(read_switch_time_, /*ended=*/2, /*started=*/3);
+    BeginStage(MsgType::kReadVersionAdvance, NextVersion(vr()),
+               /*flag=*/false, epoch_);
+  } else if (phase_ == Phase::kDrainReads) {
+    // All queries on vr_old have terminated: garbage-collect.
+    phase_ = Phase::kGarbageCollect;
+    BeginStage(MsgType::kGarbageCollect, vr(), /*flag=*/false, epoch_);
   }
 }
 
 void AdvanceCoordinator::FinishAdvancement() {
-  DoneCallback done;
-  Micros start, read_switch;
-  Version vu_new;
-  {
-    MutexLock lock(mu_);
-    phase_ = Phase::kIdle;
-    ++completed_;
-    awaiting_.clear();
-    ++stage_token_;  // kill any retransmit timer still armed
-    done = std::move(done_);
-    done_ = nullptr;
-    start = start_time_;
-    read_switch = read_switch_time_;
-    vu_new = vu_view_;
-    Micros ts = network_->Now();
-    SwitchPhaseSpanLocked(ts, /*ended=*/4, /*started=*/0);
-    if (tracer_ != nullptr && tracer_->enabled()) {
-      tracer_->EndSpan(ts, options_.id, TraceOp::kAdvancement, adv_trace_,
-                       static_cast<int64_t>(vu_view_));
-    }
-    adv_trace_ = TraceContext{};
+  phase_ = Phase::kIdle;
+  awaiting_.clear();
+  timers_.Cancel(retransmit_token_);
+  const Micros now = network_->Now();
+  SwitchPhaseSpan(now, /*ended=*/4, /*started=*/0);
+  if (tracer_ != nullptr && tracer_->enabled()) {
+    tracer_->EndSpan(now, options_.id, TraceOp::kAdvancement, adv_trace_,
+                     static_cast<int64_t>(vu()));
   }
-  Micros now = network_->Now();
+  adv_trace_ = TraceContext{};
+  completed_.store(completed_count() + 1, std::memory_order_release);
   if (metrics_ != nullptr) {
     metrics_->advancements_completed.fetch_add(1, std::memory_order_relaxed);
-    metrics_->advancement_latency.Record(now - start);
+    metrics_->advancement_latency.Record(now - start_time_);
   }
   if (history_ != nullptr) {
     HistoryRecorder::AdvancementRecord rec;
-    rec.new_update_version = vu_new;
-    rec.start_time = start;
-    rec.read_switch_time = read_switch;
+    rec.new_update_version = vu();
+    rec.start_time = start_time_;
+    rec.read_switch_time = read_switch_time_;
     rec.end_time = now;
     history_->RecordAdvancement(rec);
   }
+  DoneCallback done = std::exchange(done_, nullptr);
+  claimed_.store(false, std::memory_order_release);
   if (done) done(Status::Ok());
 }
 
 void AdvanceCoordinator::OnAdminInspect(const Message& msg) {
   Message m = MakeInspectReply(msg, options_.id);
-  const char* phase_name = "idle";
-  {
-    MutexLock lock(mu_);
-    switch (phase_) {
-      case Phase::kIdle:
-        phase_name = "idle";
-        break;
-      case Phase::kSwitchUpdate:
-        phase_name = "switch_update";
-        break;
-      case Phase::kPhaseOut:
-        phase_name = "phase_out";
-        break;
-      case Phase::kSwitchRead:
-        phase_name = "switch_read";
-        break;
-      case Phase::kDrainReads:
-        phase_name = "drain_reads";
-        break;
-      case Phase::kGarbageCollect:
-        phase_name = "garbage_collect";
-        break;
-    }
-    InspectPutNum(&m, "epoch", static_cast<int64_t>(epoch_));
-    InspectPutNum(&m, "phase", static_cast<int64_t>(phase_));
-    InspectPutNum(&m, "round", static_cast<int64_t>(round_));
-    InspectPutNum(&m, "vu_view", vu_view_);
-    InspectPutNum(&m, "vr_view", vr_view_);
-    InspectPutNum(&m, "advancements", static_cast<int64_t>(completed_));
-    InspectPutNum(&m, "auto_advance", auto_enabled_ ? 1 : 0);
-    InspectPutNum(&m, "counters_version", check_version_);
-  }
-  InspectPutStr(&m, "phase_name", phase_name);
+  InspectPutNum(&m, "epoch", static_cast<int64_t>(epoch_));
+  InspectPutNum(&m, "phase", static_cast<int64_t>(phase_));
+  InspectPutNum(&m, "round", static_cast<int64_t>(round_));
+  InspectPutNum(&m, "vu_view", vu());
+  InspectPutNum(&m, "vr_view", vr());
+  InspectPutNum(&m, "advancements", static_cast<int64_t>(completed_count()));
+  InspectPutNum(&m, "auto_advance",
+                auto_token_.load(std::memory_order_acquire) != 0 ? 1 : 0);
+  InspectPutNum(&m, "counters_version", check_version_);
+  InspectPutNum(&m, "stage_retries", static_cast<int64_t>(stage_retries_));
+  InspectPutNum(&m, "stalled", stalled_ ? 1 : 0);
+  static constexpr const char* kPhaseNames[] = {
+      "idle",        "switch_update", "phase_out",
+      "switch_read", "drain_reads",   "garbage_collect"};
+  InspectPutStr(&m, "phase_name", kPhaseNames[static_cast<int>(phase_)]);
   network_->Send(msg.from, std::move(m));
 }
 
 void AdvanceCoordinator::EnableAutoAdvance(Micros period) {
-  {
-    MutexLock lock(mu_);
-    if (auto_enabled_) {
-      auto_period_ = period;
-      return;
-    }
-    auto_enabled_ = true;
-    auto_period_ = period;
+  auto_period_.store(period, std::memory_order_relaxed);
+  uint64_t disabled = 0;
+  const uint64_t token = OwnedTimers::NewToken();
+  if (!auto_token_.compare_exchange_strong(disabled, token,
+                                           std::memory_order_acq_rel)) {
+    return;  // the running chain picks up the new period
   }
-  ScheduleAutoTick();
+  network_->ScheduleTimer(options_.id, period, token);
 }
 
 void AdvanceCoordinator::DisableAutoAdvance() {
-  MutexLock lock(mu_);
-  auto_enabled_ = false;
+  auto_token_.store(0, std::memory_order_release);
 }
 
-void AdvanceCoordinator::ScheduleAutoTick() {
-  Micros period;
-  {
-    MutexLock lock(mu_);
-    if (!auto_enabled_) return;
-    period = auto_period_;
-  }
-  network_->ScheduleAfter(period, [this] {
-    {
-      MutexLock lock(mu_);
-      if (!auto_enabled_) return;
-    }
-    StartAdvancement();  // no-op if one is already running
-    ScheduleAutoTick();
-  });
+void AdvanceCoordinator::AutoTick(uint64_t token) {
+  // The tick already runs on the owner thread, so it begins phase 1 inline
+  // when it wins the claim, and skips a tick that would overlap.
+  if (!claimed_.exchange(true, std::memory_order_acq_rel)) BeginAdvancement();
+  network_->ScheduleTimer(options_.id,
+                          auto_period_.load(std::memory_order_relaxed), token);
 }
 
 }  // namespace threev

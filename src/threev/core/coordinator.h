@@ -1,6 +1,7 @@
 #ifndef THREEV_CORE_COORDINATOR_H_
 #define THREEV_CORE_COORDINATOR_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <set>
@@ -8,9 +9,8 @@
 
 #include "threev/common/clock.h"
 #include "threev/common/ids.h"
-#include "threev/common/mutex.h"
 #include "threev/common/status.h"
-#include "threev/common/thread_annotations.h"
+#include "threev/core/owner_thread.h"
 #include "threev/metrics/metrics.h"
 #include "threev/net/network.h"
 #include "threev/trace/trace.h"
@@ -30,8 +30,9 @@ struct CoordinatorOptions {
   // Stop re-sending after this many timer fires per stage: a node that
   // stays down longer than retry_interval * max_stage_retries stalls the
   // advancement (restart-based recovery is expected well within that
-  // window), and a bounded timer chain keeps event-loop drains finite for
-  // tests that hold messages manually.
+  // window; a stall is logged and shows in the kAdminInspect reply), and a
+  // bounded timer chain keeps event-loop drains finite for tests that hold
+  // messages manually.
   size_t max_stage_retries = 50;
   // Observability (DESIGN.md section 12): when set, each advancement runs
   // under a kAdvancement span with one kAdvancePhase child per phase, and
@@ -59,6 +60,12 @@ struct CoordinatorOptions {
 // every ordered pair the version is quiescent; otherwise the coordinator
 // sleeps poll_interval and repeats. Neither wave blocks any user
 // transaction - nodes answer from their local counters.
+//
+// Threading (DESIGN.md section 6): like a Node, the coordinator belongs to
+// the thread that runs its endpoint's handler, and its timers (stage
+// retransmit, quiescence poll, auto-advance tick) arrive there as kTimer
+// messages, so its state takes no lock. Other threads may call
+// StartAdvancement, Enable/DisableAutoAdvance and the four getters.
 class AdvanceCoordinator {
  public:
   using DoneCallback = std::function<void(Status)>;
@@ -70,26 +77,32 @@ class AdvanceCoordinator {
   AdvanceCoordinator& operator=(const AdvanceCoordinator&) = delete;
 
   // Network entry point; register with Network::RegisterEndpoint.
-  void HandleMessage(const Message& msg) EXCLUDES(mu_);
+  void HandleMessage(const Message& msg);
 
   // Kicks off one advancement. Returns false (and does nothing) if one is
-  // already in flight. `done` fires after phase 4 completes.
-  bool StartAdvancement(DoneCallback done = nullptr) EXCLUDES(mu_);
+  // already in flight. `done` fires after phase 4 completes. Any thread:
+  // the call claims the coordinator, and phase 1 begins on the owner
+  // thread when a zero-delay owned timer arrives there.
+  bool StartAdvancement(DoneCallback done = nullptr);
 
   // Repeatedly advances every `period` (skipping ticks that would overlap
   // a running advancement). Policy knob from the paper's "desired
   // solution": advance every hour / after N transactions / on demand.
-  void EnableAutoAdvance(Micros period) EXCLUDES(mu_);
-  void DisableAutoAdvance() EXCLUDES(mu_);
+  // Enabling while enabled only changes the period.
+  void EnableAutoAdvance(Micros period);
+  void DisableAutoAdvance();
 
-  bool running() const EXCLUDES(mu_);
+  bool running() const { return claimed_.load(std::memory_order_acquire); }
   // Coordinator's view of the versions (authoritative between
   // advancements, since only the coordinator changes them).
-  Version vu() const EXCLUDES(mu_);
-  Version vr() const EXCLUDES(mu_);
-  uint64_t completed_count() const EXCLUDES(mu_);
+  Version vu() const { return vu_view_.load(std::memory_order_acquire); }
+  Version vr() const { return vr_view_.load(std::memory_order_acquire); }
+  uint64_t completed_count() const {
+    return completed_.load(std::memory_order_acquire);
+  }
 
  private:
+  // In this order in OnAdminInspect's phase names.
   enum class Phase {
     kIdle,
     kSwitchUpdate,   // phase 1
@@ -99,31 +112,35 @@ class AdvanceCoordinator {
     kGarbageCollect  // phase 4 (gc broadcast part)
   };
 
+  // Phase 1, on the owner thread, once the caller holds the claim.
+  void BeginAdvancement();
   // Opens a stage awaiting one reply per node: records the retransmit
   // template, marks every node as awaited, sends to all, arms the timer.
-  void BeginStage(MsgType type, Version version, bool flag, uint64_t seq)
-      EXCLUDES(mu_);
-  void SendTo(const std::vector<NodeId>& targets, MsgType type,
-              Version version, bool flag, uint64_t seq,
-              const TraceContext& trace);
-  void ArmRetransmit(uint64_t token) EXCLUDES(mu_);
+  void BeginStage(MsgType type, Version version, bool flag, uint64_t seq);
+  // Sends the current stage's message to every node still awaited.
+  void SendStage();
+  void ArmRetransmit();
+  // Takes one node's ack of the stage `phase` opened; true once every node
+  // has acked.
+  bool LastAck(Phase phase, const Message& msg);
   // Protocol introspection probe (see trace/introspect.h).
   void OnAdminInspect(const Message& msg);
   // Closes the current kAdvancePhase span and opens the next one
   // (phase_index 1..4; 0 closes without opening).
-  void SwitchPhaseSpanLocked(Micros ts, int64_t ended, int64_t started)
-      REQUIRES(mu_);
-  // Starts a quiescence round for `version` (wave 1: completion counters).
-  void BeginRound(Version version) EXCLUDES(mu_);
-  void SendWave(Version version, bool r_wave) EXCLUDES(mu_);
-  void OnCounterReply(const Message& msg) EXCLUDES(mu_);
+  void SwitchPhaseSpan(Micros ts, int64_t ended, int64_t started);
+  // Starts a quiescence round for check_version_ (wave 1: completion
+  // counters).
+  void BeginRound();
+  void SendWave(bool r_wave);
+  void OnCounterReply(const Message& msg);
   // All replies of the R wave arrived: compare matrices.
-  void EvaluateRound() EXCLUDES(mu_);
+  void EvaluateRound();
   // Transition after a phase's condition is met.
-  void AdvancePhase() EXCLUDES(mu_);
-  void FinishAdvancement() EXCLUDES(mu_);
-  void ScheduleAutoTick() EXCLUDES(mu_);
-  uint64_t WaveSeq(bool r_wave) const REQUIRES(mu_);
+  void AdvancePhase();
+  void FinishAdvancement();
+  // One tick of the auto-advance chain armed under `token`.
+  void AutoTick(uint64_t token);
+  uint64_t WaveSeq(bool r_wave) const;
 
   CoordinatorOptions options_;
   Network* network_;
@@ -131,39 +148,56 @@ class AdvanceCoordinator {
   HistoryRecorder* history_;
   Tracer* tracer_;  // unowned, may be null (tracing disabled)
 
-  mutable Mutex mu_;
-  Phase phase_ GUARDED_BY(mu_) = Phase::kIdle;
+  // --- shared with other threads ---
+  // Held from a won StartAdvancement (or auto tick) until the advancement
+  // finishes.
+  std::atomic<bool> claimed_{false};
+  // The claim winner's callback. Only the thread that won claimed_ writes
+  // it; the owner thread takes it out before releasing the claim.
+  DoneCallback done_;
+  // The zero-delay timer that carries a StartAdvancement to the owner.
+  const uint64_t start_token_ = OwnedTimers::NewToken();
+  // Token of the live auto-advance chain, fresh per EnableAutoAdvance so
+  // an older chain's tick matches nothing; 0 while disabled.
+  std::atomic<uint64_t> auto_token_{0};
+  std::atomic<Micros> auto_period_{0};
+  // Written only by the owner thread.
+  std::atomic<Version> vu_view_{1};
+  std::atomic<Version> vr_view_{0};
+  std::atomic<uint64_t> completed_{0};
+  // Set while a thread runs HandleMessage (HandlerScope).
+  std::atomic<bool> in_handler_{false};
+
+  // --- owner thread only ---
+  OwnedTimers timers_;
+  Phase phase_ = Phase::kIdle;
   // One per advancement, tags all messages.
-  uint64_t epoch_ GUARDED_BY(mu_) = 0;
-  Version vu_view_ GUARDED_BY(mu_) = 1;
-  Version vr_view_ GUARDED_BY(mu_) = 0;
+  uint64_t epoch_ = 0;
   // Version being quiesced in phases 2/4.
-  Version check_version_ GUARDED_BY(mu_) = 0;
+  Version check_version_ = 0;
   // Nodes whose reply for the current stage is still outstanding, plus the
-  // template needed to re-send that stage to them. The token invalidates
-  // retransmit timers armed for earlier stages.
-  std::set<NodeId> awaiting_ GUARDED_BY(mu_);
-  MsgType stage_type_ GUARDED_BY(mu_) = MsgType::kStartAdvancement;
-  Version stage_version_ GUARDED_BY(mu_) = 0;
-  bool stage_flag_ GUARDED_BY(mu_) = false;
-  uint64_t stage_seq_ GUARDED_BY(mu_) = 0;
-  uint64_t stage_token_ GUARDED_BY(mu_) = 0;
-  size_t stage_retries_ GUARDED_BY(mu_) = 0;
-  uint64_t round_ GUARDED_BY(mu_) = 0;
-  bool r_wave_ GUARDED_BY(mu_) = false;
+  // template needed to re-send that stage to them.
+  std::set<NodeId> awaiting_;
+  MsgType stage_type_ = MsgType::kStartAdvancement;
+  Version stage_version_ = 0;
+  bool stage_flag_ = false;
+  uint64_t stage_seq_ = 0;
+  // The stage's retransmit timer; cancelled when the next stage opens.
+  uint64_t retransmit_token_ = 0;
+  size_t stage_retries_ = 0;
+  // The stage used up max_stage_retries with nodes still awaited.
+  bool stalled_ = false;
+  uint64_t round_ = 0;
+  bool r_wave_ = false;
   // Collected matrices, num_nodes x num_nodes, [p][q].
-  std::vector<int64_t> c_matrix_ GUARDED_BY(mu_);
-  std::vector<int64_t> r_matrix_ GUARDED_BY(mu_);
-  DoneCallback done_ GUARDED_BY(mu_);
-  Micros start_time_ GUARDED_BY(mu_) = 0;
-  Micros read_switch_time_ GUARDED_BY(mu_) = 0;
-  uint64_t completed_ GUARDED_BY(mu_) = 0;
-  bool auto_enabled_ GUARDED_BY(mu_) = false;
-  Micros auto_period_ GUARDED_BY(mu_) = 0;
+  std::vector<int64_t> c_matrix_;
+  std::vector<int64_t> r_matrix_;
+  Micros start_time_ = 0;
+  Micros read_switch_time_ = 0;
   // Spans of the running advancement / its current phase (invalid when
   // idle or tracing is off).
-  TraceContext adv_trace_ GUARDED_BY(mu_);
-  TraceContext phase_trace_ GUARDED_BY(mu_);
+  TraceContext adv_trace_;
+  TraceContext phase_trace_;
 };
 
 }  // namespace threev

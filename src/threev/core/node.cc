@@ -1,7 +1,6 @@
 #include "threev/core/node.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "threev/common/logging.h"
 #include "threev/durability/checkpoint.h"
@@ -14,26 +13,6 @@ namespace {
 // Size of one kSeqReserve block: a restarted node resumes its id sequences
 // at the reserved ceiling, so up to this many ids are skipped per restart.
 constexpr uint64_t kSeqReserveBlock = 4096;
-
-// Timer tokens, unique across every node and incarnation in the process.
-std::atomic<uint64_t> next_timer_token{1};
-
-// HandleMessage's owner-thread check: marks the node busy for the scope of
-// one handler and aborts if another thread already is.
-class HandlerScope {
- public:
-  HandlerScope(std::atomic<bool>& busy, NodeId node) : busy_(busy) {
-    THREEV_CHECK(!busy_.exchange(true, std::memory_order_acquire))
-        << "node " << node << ": two threads ran its handler at once";
-  }
-  ~HandlerScope() { busy_.store(false, std::memory_order_release); }
-
-  HandlerScope(const HandlerScope&) = delete;
-  HandlerScope& operator=(const HandlerScope&) = delete;
-
- private:
-  std::atomic<bool>& busy_;
-};
 }  // namespace
 
 Node::Node(const NodeOptions& options, Network* network, Metrics* metrics,
@@ -47,7 +26,8 @@ Node::Node(const NodeOptions& options, Network* network, Metrics* metrics,
       counters_(options.num_nodes),
       vu_(1),
       vr_(0),
-      rng_(options.seed + options.id * 0x9e3779b9ull) {
+      rng_(options.seed + options.id * 0x9e3779b9ull),
+      timers_(network, options.id) {
   // Version 0 (the initial read version) was never an update version; for
   // staleness accounting it counts as frozen when this node starts, on the
   // transport's clock.
@@ -149,7 +129,7 @@ void Node::RecoverFromLog() {
 
 void Node::ArmRecoveryDecisionRetry() {
   if (options_.twopc_retry_interval <= 0) return;
-  ScheduleAfter(options_.twopc_retry_interval, [this] {
+  timers_.Arm(options_.twopc_retry_interval, [this] {
     if (recovered_decisions_.empty()) return;
     std::vector<std::pair<NodeId, Message>> resend;
     for (const auto& [txn, state] : recovered_decisions_) {
@@ -172,12 +152,13 @@ void Node::ArmRecoveryDecisionRetry() {
 }
 
 void Node::LogRecord(const WalRecord& rec, bool force) {
-  if (wal_ == nullptr) return;
+  if (wal_ == nullptr || halted()) return;
   Status s = wal_->Append(rec, force);
   if (!s.ok()) HaltOnLogFailure(s);
 }
 
 bool Node::CommitLog() {
+  if (halted()) return false;
   Status s = wal_->Commit();
   if (!s.ok()) HaltOnLogFailure(s);
   return s.ok();
@@ -195,25 +176,11 @@ void Node::HaltOnLogFailure(const Status& s) {
 }
 
 void Node::Send(NodeId to, Message&& m) {
-  // Log before externalize: every frame staged so far reaches the OS
-  // before this message can.
-  if (wal_ != nullptr && !CommitLog()) return;
+  // A halted node is crashed, even while the handler that was running when
+  // it halted finishes. Log before externalize: every frame staged so far
+  // reaches the OS before this message can.
+  if (halted() || (wal_ != nullptr && !CommitLog())) return;
   network_->Send(to, std::move(m));
-}
-
-void Node::ScheduleAfter(Micros delay, std::function<void()> fn) {
-  const uint64_t token =
-      next_timer_token.fetch_add(1, std::memory_order_relaxed);
-  timers_.emplace(token, std::move(fn));
-  network_->ScheduleTimer(options_.id, delay, token);
-}
-
-void Node::OnTimer(const Message& msg) {
-  auto it = timers_.find(msg.seq);
-  if (it == timers_.end()) return;
-  std::function<void()> fn = std::move(it->second);
-  timers_.erase(it);
-  fn();
 }
 
 void Node::LogCounter(Version v, bool is_r, NodeId peer) {
@@ -289,7 +256,7 @@ Status Node::WriteCheckpoint() {
 
 void Node::ArmTwopcRetry(TxnId txn) {
   if (options_.twopc_retry_interval <= 0) return;
-  ScheduleAfter(options_.twopc_retry_interval, [this, txn] {
+  timers_.Arm(options_.twopc_retry_interval, [this, txn] {
     auto rit = nc_roots_.find(txn);
     if (rit == nc_roots_.end()) return;  // root resolved: watchdog dies
     auto pit = pending_.find(rit->second);
@@ -355,7 +322,7 @@ bool Node::InjectAbort() {
 }
 
 void Node::HandleMessage(const Message& msg) {
-  HandlerScope owner(in_handler_, options_.id);
+  HandlerScope owner(in_handler_, "node", options_.id);
   // A halted node is crashed: messages (and timers) already queued for it
   // die here.
   if (halted_.load(std::memory_order_acquire)) return;
@@ -400,7 +367,7 @@ void Node::HandleMessage(const Message& msg) {
       OnAdminInspect(msg);
       break;
     case MsgType::kTimer:
-      OnTimer(msg);
+      timers_.Fire(msg);
       break;
     default:
       THREEV_LOG(kWarn) << "node " << options_.id << ": unexpected "
@@ -586,7 +553,7 @@ void Node::ProceedNonCommuting(ExecPtr ctx) {
 
 void Node::ArmLockTimeout(ExecPtr ctx) {
   ExecPtr c = std::move(ctx);
-  ScheduleAfter(options_.nc_lock_timeout, [this, c] {
+  timers_.Arm(options_.nc_lock_timeout, [this, c] {
     if (c->lock_done) return;
     locks_.CancelWaits(c->txn);
     // Keep watching until the lock phase resolves: the cancel may have hit

@@ -16,6 +16,7 @@
 #include "threev/common/random.h"
 #include "threev/common/status.h"
 #include "threev/core/counters.h"
+#include "threev/core/owner_thread.h"
 #include "threev/durability/wal.h"
 #include "threev/lock/lock_manager.h"
 #include "threev/metrics/metrics.h"
@@ -138,8 +139,10 @@ class Node {
   void HandleMessage(const Message& msg);
 
   // Crash simulation: a halted node ignores every subsequent message and
-  // timer callback. Irreversible - "restarting" means constructing a fresh
-  // Node over the same wal_dir (see Cluster::RestartNode).
+  // timer callback, and a handler still running when it halted neither
+  // sends nor logs from then on. Irreversible - "restarting" means
+  // constructing a fresh Node over the same wal_dir (see
+  // Cluster::RestartNode).
   void Halt();
   bool halted() const { return halted_.load(std::memory_order_acquire); }
 
@@ -258,9 +261,6 @@ class Node {
   // Protocol introspection probe: replies with a kAdminInspectReply whose
   // stat map / counter rows describe this node (see trace/introspect.h).
   void OnAdminInspect(const Message& msg);
-  // Runs and forgets the callback armed under the token msg.seq; a token
-  // this incarnation did not arm (or already ran) is ignored.
-  void OnTimer(const Message& msg);
 
   // --- execution ---
   // Assigns the root version / applies version inference, then routes to
@@ -296,11 +296,11 @@ class Node {
   // Rebuilds state from checkpoint + WAL and re-enters in-doubt 2PC. Runs
   // from the constructor, before the node is registered with the network.
   void RecoverFromLog();
-  // Stages one redo record (no-op when durability is off); `force` commits
-  // it at once. A failed log halts the node.
+  // Stages one redo record (no-op when durability is off or the node
+  // halted); `force` commits it at once. A failed log halts the node.
   void LogRecord(const WalRecord& rec, bool force = false);
   // Commits the staged frames; on failure halts the node and returns false.
-  // Requires durability on.
+  // A halted node commits nothing and returns false. Requires durability on.
   bool CommitLog();
   void HaltOnLogFailure(const Status& s);
   // Counter-delta record for IncR/IncC (the only non-idempotent records).
@@ -317,12 +317,8 @@ class Node {
   // --- externalization ---
   // The only way a message leaves this node (tools/threev_lint.py enforces
   // it): commits the staged WAL frames first, and drops the message if the
-  // commit failed, since the node has then halted.
+  // node has halted or the commit failed (which halts it).
   void Send(NodeId to, Message&& m);
-  // Node-owned timer: `fn` runs after `delay` as the handler of a kTimer
-  // message (OnTimer), so it runs on the owner thread, is skipped once the
-  // node halted and has what it logged committed like any handler's.
-  void ScheduleAfter(Micros delay, std::function<void()> fn);
 
   // --- helpers ---
   // `trace` attributes the switch instant to whoever caused it (the
@@ -363,10 +359,9 @@ class Node {
   // Ids below this are WAL-reserved.
   uint64_t seq_reserved_until_ = 0;
   Rng rng_;
-  // Armed timers by token. Tokens come from one process-wide sequence, so
-  // a kTimer armed by a killed incarnation never matches one of its
-  // successor's.
-  std::unordered_map<uint64_t, std::function<void()>> timers_;
+  // NC lock timeouts, 2PC retries and recovery's decision re-broadcast,
+  // each run on this node's thread as a kTimer.
+  OwnedTimers timers_;
   std::map<SubtxnId, PendingSubtxn> pending_;
   // Routes kVote / kDecisionAck.
   std::map<TxnId, SubtxnId> nc_roots_;

@@ -24,7 +24,8 @@ namespace threev {
 // versions whose counter rows are live - the fuzz invariant probe re-probes
 // each of them via the request's `version` field).
 // Coordinator replies use: epoch, phase, phase_name (str),
-// round, vu_view, vr_view, auto_advance. `counters_version` on both says
+// round, vu_view, vr_view, auto_advance, stage_retries (retransmits of the
+// current stage) and stalled (1 once that stage used up its retries). `counters_version` on both says
 // which version the counter rows describe. Absent keys read as 0 / "".
 struct NodeInspection {
   NodeId node = 0;

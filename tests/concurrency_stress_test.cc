@@ -1,12 +1,12 @@
 // Concurrency stress tests: many real threads hammering the primitives that
 // are shared between threads (BlockingQueue, the ThreadNet mailbox,
-// WaitGroup, Histogram). A node's store, counters and lock table belong to
-// its one thread and are tested single-threaded (storage_test,
-// store_property_test, lock_test). These exist primarily as tsan fodder -
-// run them under the `tsan` preset to turn latent races into hard failures
-// - but they also assert linearizable end-state invariants (nothing lost,
-// nothing duplicated) so they catch logic races under the default build
-// too.
+// WaitGroup, Histogram, the coordinator's StartAdvancement claim). A
+// node's store, counters and lock table belong to its one thread and are
+// tested single-threaded (storage_test, store_property_test, lock_test).
+// These exist primarily as tsan fodder - run them under the `tsan` preset
+// to turn latent races into hard failures - but they also assert
+// linearizable end-state invariants (nothing lost, nothing duplicated) so
+// they catch logic races under the default build too.
 //
 // Registered with ctest label `stress`.
 #include <gtest/gtest.h>
@@ -22,6 +22,7 @@
 
 #include "threev/common/queue.h"
 #include "threev/common/wait_group.h"
+#include "threev/core/cluster.h"
 #include "threev/metrics/histogram.h"
 #include "threev/net/thread_net.h"
 
@@ -272,6 +273,85 @@ TEST(ConcurrencyStressTest, ThreadNetOwnedTimersFireOnTheOwnersWorker) {
   std::sort(all.begin(), all.end());
   ASSERT_EQ(all.size(), kArmers * kPerArmer);
   for (size_t i = 0; i < all.size(); ++i) EXPECT_EQ(all[i], i + 1);
+}
+
+// Four threads race StartAdvancement against an auto-advance chain that
+// ticks every millisecond on the coordinator's own worker. Each claim won
+// runs exactly one advancement, and each true return gets exactly one done.
+TEST(ConcurrencyStressTest, StartAdvancementRacesAutoAdvance) {
+  constexpr int kRacers = 4;
+  constexpr int kAttempts = 100;
+  Metrics metrics;
+  ThreadNet net(ThreadNetOptions{}, &metrics);
+  ClusterOptions options;
+  options.num_nodes = 3;
+  Cluster cluster(options, &net, &metrics);
+  AdvanceCoordinator& coord = cluster.coordinator();
+  net.Start();
+  coord.EnableAutoAdvance(1'000);
+
+  // Per attempt: whether StartAdvancement returned true, and done calls.
+  std::array<std::atomic<bool>, kRacers * kAttempts> won{};
+  std::array<std::atomic<int>, kRacers * kAttempts> dones{};
+  std::atomic<int> not_ok{0};
+  std::vector<std::thread> racers;
+  for (int r = 0; r < kRacers; ++r) {
+    racers.emplace_back([&, r] {
+      for (int i = 0; i < kAttempts; ++i) {
+        const int slot = r * kAttempts + i;
+        won[slot] = coord.StartAdvancement([&, slot](Status s) {
+          if (!s.ok()) not_ok.fetch_add(1);
+          dones[slot].fetch_add(1);
+        });
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+    });
+  }
+  for (auto& t : racers) t.join();
+
+  // Stop the chain, then win one last claim: its done runs on the owner
+  // thread after every earlier advancement's, and no tick can claim later.
+  coord.DisableAutoAdvance();
+  WaitGroup last;
+  last.Add(1);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!coord.StartAdvancement([&](Status) { last.Done(); })) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  ASSERT_TRUE(last.WaitFor(std::chrono::seconds(30)));
+  WaitGroup inspected;
+  inspected.Add(1);
+  int64_t epoch = -1;
+  cluster.client().Inspect(cluster.coordinator_id(),
+                           [&](const NodeInspection& r) {
+                             epoch = r.Stat("epoch");
+                             inspected.Done();
+                           });
+  ASSERT_TRUE(inspected.WaitFor(std::chrono::seconds(30)));
+  net.Stop();
+
+  int public_wins = 0;
+  for (int slot = 0; slot < kRacers * kAttempts; ++slot) {
+    public_wins += won[slot] ? 1 : 0;
+    EXPECT_EQ(dones[slot].load(), won[slot] ? 1 : 0) << "attempt " << slot;
+  }
+  EXPECT_GT(public_wins, 0);
+  EXPECT_EQ(not_ok.load(), 0);
+  // Claims won = advancements begun (the epoch), public and auto alike.
+  EXPECT_EQ(coord.completed_count(), static_cast<uint64_t>(epoch));
+  EXPECT_GE(coord.completed_count(), static_cast<uint64_t>(public_wins) + 1);
+  EXPECT_EQ(metrics.advancements_completed.load(),
+            static_cast<int64_t>(coord.completed_count()));
+  EXPECT_FALSE(coord.running());
+  EXPECT_EQ(coord.vu(), NextVersion(coord.vr()));
+  for (NodeId n = 0; n < options.num_nodes; ++n) {
+    EXPECT_EQ(cluster.node(n).vu(), NextVersion(cluster.node(n).vr()))
+        << "node " << n;
+    EXPECT_EQ(cluster.node(n).vr(), coord.vr()) << "node " << n;
+  }
+  EXPECT_TRUE(cluster.CheckInvariants().ok());
 }
 
 // Concurrent Record() from many threads; totals must be exact after joins.

@@ -3,6 +3,8 @@
 // still executing or in transit (DESIGN.md section 5).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "threev/core/cluster.h"
 #include "threev/net/sim_net.h"
 
@@ -51,6 +53,7 @@ TEST_F(CoordinatorTest, DoesNotDeclareQuiescenceWithSubtxnInTransit) {
   bool advanced = false;
   ASSERT_TRUE(cluster_.coordinator().StartAdvancement(
       [&](Status) { advanced = true; }));
+  net_.loop().RunFor(0);  // phase 1 begins on the coordinator's own turn
   DeliverAllOf(kStartAdv);
   DeliverAllOf(kStartAdvAck);
 
@@ -85,6 +88,7 @@ TEST_F(CoordinatorTest, NewRootsDuringPhaseTwoDoNotBlockIt) {
   bool advanced = false;
   ASSERT_TRUE(cluster_.coordinator().StartAdvancement(
       [&](Status) { advanced = true; }));
+  net_.loop().RunFor(0);  // phase 1 begins on the coordinator's own turn
   DeliverAllOf(kStartAdv);
   DeliverAllOf(kStartAdvAck);
 
@@ -188,6 +192,96 @@ TEST_F(CoordinatorTest, AutoAdvanceTicksRepeatedly) {
   }
   EXPECT_GE(cluster_.coordinator().completed_count(), 3u);
   cluster_.coordinator().DisableAutoAdvance();
+}
+
+// Disable then re-enable within one period: the first chain's armed tick
+// must die rather than run beside the new chain at twice the rate.
+TEST(CoordinatorAutoAdvanceTest, ReenableWithinAPeriodKeepsOneTickChain) {
+  Metrics metrics;
+  SimNet net(SimNetOptions{.seed = 3}, &metrics);
+  ClusterOptions options;
+  options.num_nodes = 2;
+  Cluster cluster(options, &net, &metrics);
+  AdvanceCoordinator& coord = cluster.coordinator();
+  coord.EnableAutoAdvance(50'000);
+  net.loop().RunFor(20'000);
+  coord.DisableAutoAdvance();
+  coord.EnableAutoAdvance(50'000);
+  net.loop().RunFor(500'000);
+  // One chain ticks at 70, 120, ..., 470 ms and each advancement takes a
+  // few ms, so nine complete (the tick at 520 ms is still running); a
+  // second chain at 50, 100, ... ms would nearly double that.
+  EXPECT_EQ(coord.completed_count(), 9u);
+  coord.DisableAutoAdvance();
+}
+
+// Every stage finishes in one 200 us round trip, long before its 1 ms
+// retransmit timer fires: by then that timer belongs to a finished stage
+// (or advancement) and must match nothing, not re-send the current one.
+TEST(CoordinatorRetransmitTest, StaleStageTimersMatchNothing) {
+  Metrics metrics;
+  SimNet net(SimNetOptions{.seed = 5, .min_delay = 100, .mean_extra_delay = 0},
+             &metrics);
+  ClusterOptions options;
+  options.num_nodes = 3;
+  options.coordinator_retry_interval = 1'000;
+  Cluster cluster(options, &net, &metrics);
+  for (int i = 0; i < 5; ++i) {
+    bool done = false;
+    ASSERT_TRUE(
+        cluster.coordinator().StartAdvancement([&](Status) { done = true; }));
+    net.loop().RunUntil([&] { return done; });
+  }
+  net.loop().Run();
+  EXPECT_EQ(cluster.coordinator().completed_count(), 5u);
+  EXPECT_EQ(metrics.advancement_retransmits.load(), 0);
+}
+
+// A node that stays down past the retry budget stalls the stage. The
+// coordinator says so once in the log, and its kAdminInspect reply shows
+// the spent budget and the stall.
+TEST(CoordinatorStallTest, ExhaustedRetriesAreLoggedAndInspectable) {
+  Metrics metrics;
+  SimNet net(SimNetOptions{.seed = 4}, &metrics);
+  ClusterOptions options;
+  options.num_nodes = 2;
+  Cluster cluster(options, &net, &metrics);
+  // A coordinator with a small budget on an endpoint of its own (past the
+  // cluster's client); nodes answer whoever asked.
+  const NodeId id = cluster.coordinator_id() + 2;
+  AdvanceCoordinator coord(CoordinatorOptions{.id = id,
+                                              .num_nodes = 2,
+                                              .retry_interval = 1'000,
+                                              .max_stage_retries = 3},
+                           &net, &metrics);
+  net.RegisterEndpoint(id, [&](const Message& m) { coord.HandleMessage(m); });
+  net.SetEndpointUp(1, false);
+
+  ::testing::internal::CaptureStderr();
+  ASSERT_TRUE(coord.StartAdvancement());
+  net.loop().Run();
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  const std::string want =
+      "StartAdvancement stage stalled after 3 retransmits; still awaiting "
+      "nodes 1\n";
+  const size_t at = log.find(want);
+  EXPECT_NE(at, std::string::npos) << log;
+  EXPECT_EQ(log.find("stalled", at + want.size()), std::string::npos) << log;
+  EXPECT_TRUE(coord.running());
+  EXPECT_EQ(coord.completed_count(), 0u);
+  EXPECT_EQ(metrics.advancement_retransmits.load(), 3);
+
+  NodeInspection got;
+  bool replied = false;
+  cluster.client().Inspect(id, [&](const NodeInspection& r) {
+    got = r;
+    replied = true;
+  });
+  net.loop().Run();
+  ASSERT_TRUE(replied);
+  EXPECT_EQ(got.StatStr("phase_name"), "switch_update");
+  EXPECT_EQ(got.Stat("stage_retries"), 3);
+  EXPECT_EQ(got.Stat("stalled"), 1);
 }
 
 }  // namespace

@@ -177,6 +177,7 @@ TEST(NC3VTest, VersionGateBlocksNonCommutingDuringAdvancement) {
   bool advanced = false;
   ASSERT_TRUE(
       cluster.coordinator().StartAdvancement([&](Status) { advanced = true; }));
+  net.loop().RunFor(0);  // phase 1 begins on the coordinator's own turn
   while (net.DeliverMatching(-1, -1,
                              static_cast<int>(MsgType::kStartAdvancement))) {
   }

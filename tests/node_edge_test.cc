@@ -123,6 +123,7 @@ TEST(NodeEdgeTest, ReadChildAtNodeWithLaggingReadVersion) {
   cluster.node(1).store().Seed("b", Value{.num = 22, .ids = {}, .str = ""}, 1);
   bool advanced = false;
   cluster.coordinator().StartAdvancement([&](Status) { advanced = true; });
+  net.loop().RunFor(0);  // phase 1 begins on the coordinator's own turn
   // Run phases 1-2 fully, then deliver phase 3 ONLY to node 0.
   while (net.DeliverMatching(
              -1, -1, static_cast<int>(MsgType::kStartAdvancement)) != 0) {
@@ -201,20 +202,49 @@ TEST(NodeEdgeTest, SingleNodeClusterFullLifecycle) {
 }
 
 // A transport whose Send parks the sending thread until released, so a
-// test can hold one thread inside a node's handler.
+// test can hold one thread inside a node's handler. Counts every send.
 class ParkingNet : public Network {
  public:
   void RegisterEndpoint(NodeId, MessageHandler) override {}
   void Send(NodeId, Message) override {
+    sends.fetch_add(1);
     in_send.store(true);
     while (!release.load()) std::this_thread::yield();
   }
   void ScheduleAfter(Micros, std::function<void()>) override {}
   Micros Now() const override { return 0; }
 
+  std::atomic<int> sends{0};
   std::atomic<bool> in_send{false};
   std::atomic<bool> release{false};
 };
+
+// KillNode halts a node while its handler may still be running on another
+// thread: from then on that handler reaches the network no more.
+TEST(NodeEdgeTest, HaltMidHandlerDropsTheRestOfItsSends) {
+  ParkingNet net;
+  Metrics metrics;
+  NodeOptions node_options;
+  node_options.num_nodes = 3;
+  Node node(node_options, &net, &metrics);
+  // The root spawns two children, one send each.
+  Message submit;
+  submit.type = MsgType::kClientSubmit;
+  submit.from = 3;
+  submit.seq = 1;
+  submit.plan = TxnBuilder(0)
+                    .Add("a", 1)
+                    .Child(1, {OpAdd("b", 1)})
+                    .Child(2, {OpAdd("c", 1)})
+                    .Build()
+                    .root;
+  std::thread handler([&] { node.HandleMessage(submit); });
+  while (!net.in_send.load()) std::this_thread::yield();
+  node.Halt();
+  net.release.store(true);
+  handler.join();
+  EXPECT_EQ(net.sends.load(), 1);
+}
 
 // One thread owns a node: a second thread entering HandleMessage while the
 // first is still inside it aborts the process, in every build type.

@@ -110,6 +110,7 @@ TEST_F(Table1Test, ReplaysPaperExecution) {
   bool advanced = false;
   ASSERT_TRUE(cluster_.coordinator().StartAdvancement(
       [&](Status st) { advanced = st.ok(); }));
+  net_.loop().RunFor(0);  // phase 1 begins on the coordinator's own turn
 
   // TIME 9-10: the advancement notice reaches q first; q switches to
   // update version 2.

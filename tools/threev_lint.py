@@ -72,8 +72,10 @@ analysis can express, because they live above the type system:
                      inbound sockets; a thread per connection must not
                      come back.
 
-  node-owned         A node's state belongs to the one thread that runs
-                     its handler (DESIGN.md section 6), so core/node.*,
+  node-owned         A node's and the advancement coordinator's state
+                     belongs to the one thread that runs the endpoint's
+                     handler (DESIGN.md section 6), so core/node.*,
+                     core/coordinator.*, core/owner_thread.*,
                      core/counters.*, lock/ and storage/ name no lock:
                      no Mutex, SharedMutex, MutexLock, raw std::mutex
                      family, GUARDED_BY, REQUIRES or EXCLUDES. A lock
@@ -712,14 +714,17 @@ def check_net_threads(files):
 
 
 # ---------------------------------------------------------------------------
-# Rule: node-owned state takes no locks. Handlers, timer callbacks included,
-# run on the node's own thread, so the node, its counters, its lock table
-# and its store are single-threaded by construction (DESIGN.md section 6).
-# A lock there would guard nothing - or hide a second thread that must not
-# exist; the overlap check in Node::HandleMessage catches the latter at run
-# time, this rule keeps the former from creeping back.
+# Rule: endpoint-owned state takes no locks. Handlers, timer callbacks
+# included, run on the endpoint's own thread, so a node (its counters, lock
+# table and store) and the advancement coordinator are single-threaded by
+# construction (DESIGN.md section 6). A lock there would guard nothing - or
+# hide a second thread that must not exist; the overlap check in both
+# HandleMessage functions catches the latter at run time, this rule keeps
+# the former from creeping back.
 
-NODE_OWNED_PREFIXES = ("src/threev/core/node.", "src/threev/core/counters.",
+NODE_OWNED_PREFIXES = ("src/threev/core/node.", "src/threev/core/coordinator.",
+                       "src/threev/core/owner_thread.",
+                       "src/threev/core/counters.",
                        "src/threev/lock/", "src/threev/storage/")
 NODE_OWNED_BANNED_RE = re.compile(
     r"\b(?:Mutex|SharedMutex|MutexLock|(?:PT_)?GUARDED_BY|"
@@ -736,9 +741,9 @@ def check_node_owned(files):
         for m in NODE_OWNED_BANNED_RE.finditer(f.code):
             findings.append(Finding(
                 "node-owned", path, f.line_of(m.start()),
-                f"`{m.group(0)}` in node-owned code; one thread runs a "
-                "node's handlers and timers, so its state takes no locks "
-                "(DESIGN.md section 6)"))
+                f"`{m.group(0)}` in node-owned code; one thread runs an "
+                "endpoint's handlers and timers, so its state takes no "
+                "locks (DESIGN.md section 6)"))
     return findings
 
 
@@ -1191,9 +1196,19 @@ void ThreadNet::Deliver(NodeId to, Message&& msg) {
                 "std::map<SubtxnId, PendingSubtxn> pending_;\n"),
         _mkfile("src/threev/storage/versioned_store.cc",
                 "Status s = Status::NotFound(\"Mutex\");\n"),
-        # Classes shared between threads keep their locks.
+        # The coordinator: atomics for its foreign-thread API, plain
+        # members for the rest.
         _mkfile("src/threev/core/coordinator.h",
-                "mutable Mutex mu_;\nint epoch_ GUARDED_BY(mu_) = 0;\n"),
+                "std::atomic<bool> claimed_{false};\n"
+                "std::atomic<uint64_t> auto_token_{0};\n"
+                "std::set<NodeId> awaiting_;\nuint64_t epoch_ = 0;\n"),
+        _mkfile("src/threev/core/coordinator.cc",
+                "if (claimed_.exchange(true, std::memory_order_acq_rel)) "
+                "return false;\n"
+                "HandlerScope owner(in_handler_, \"coordinator\", id);\n"),
+        # Classes called synchronously from foreign threads keep their locks.
+        _mkfile("src/threev/core/policy.h",
+                "mutable Mutex mu_;\nbool running_ GUARDED_BY(mu_) = false;\n"),
         _mkfile("src/threev/core/cluster.cc", "MutexLock lock(mu_);\n"),
     ]
     expect("node-owned code without locks", check_node_owned(owned_clean),
@@ -1212,6 +1227,15 @@ void ThreadNet::Deliver(NodeId to, Message&& msg) {
         ("src/threev/storage/versioned_store.cc", "std::mutex mu;\n"),
         ("src/threev/storage/versioned_store.h",
          "std::shared_mutex mu;\n"),
+        ("src/threev/core/coordinator.cc", "MutexLock lock(mu_);\n"),
+        ("src/threev/core/coordinator.cc", "static Mutex registry_mu;\n"),
+        ("src/threev/core/coordinator.cc",
+         "Phase phase_ GUARDED_BY(mu_) = Phase::kIdle;\n"),
+        ("src/threev/core/coordinator.h",
+         "uint64_t epoch_ GUARDED_BY(mu_) = 0;\n"),
+        ("src/threev/core/coordinator.h",
+         "bool StartAdvancement(DoneCallback done) EXCLUDES(mu_);\n"),
+        ("src/threev/core/owner_thread.h", "Mutex mu_;\n"),
     ]:
         expect(f"lock in node-owned {path}",
                check_node_owned([_mkfile(path, text)]), "node-owned", True)
