@@ -506,6 +506,77 @@ HotpathResult BenchTcpNetHop(int64_t hops) {
   return BenchHop("tcpnet_hop", net0, net1, start, stop, hops);
 }
 
+// TcpNet over loopback, frames in bursts: endpoint 0's handler sends
+// kBurst frames to endpoint 1 in one turn, so they leave in one write, and
+// endpoint 1 answers the last frame of each burst, which starts the next.
+// A burst's round trip, spread over its frames, is the cost of one frame.
+HotpathResult BenchTcpNetBurst(int64_t bursts) {
+  constexpr int kBurst = 8;
+  constexpr int64_t kWarmup = 8;
+  std::vector<uint16_t> ports = FreeLoopbackPorts(2);
+  std::map<NodeId, std::string> peers = {
+      {0, "127.0.0.1:" + std::to_string(ports[0])},
+      {1, "127.0.0.1:" + std::to_string(ports[1])},
+  };
+  TcpNet net0(TcpNetOptions{.peers = peers, .listen_port = ports[0]});
+  TcpNet net1(TcpNetOptions{.peers = peers, .listen_port = ports[1]});
+  Histogram lat;
+  // As in BenchHop, the handlers take turns through the kernel.
+  std::atomic<int64_t> answers{0};
+  std::atomic<int64_t> t0_ns{0};
+  std::atomic<int64_t> burst_ns{0};
+  WaitGroup finished;
+  finished.Add(1);
+  net0.RegisterEndpoint(0, [&](const Message&) {
+    const int64_t n = answers.fetch_add(1);  // the kick is answer 0
+    const int64_t now = Clock::now().time_since_epoch().count();
+    if (n == kWarmup) {
+      t0_ns.store(now);
+      burst_ns.store(now);
+    } else if (n > kWarmup) {
+      lat.Record((now - burst_ns.exchange(now)) / kBurst);
+    }
+    if (n == kWarmup + bursts) {
+      finished.Done();
+      return;
+    }
+    for (int i = 0; i < kBurst; ++i) {
+      Message out;
+      out.type = MsgType::kClientSubmit;
+      out.from = 0;
+      out.seq = static_cast<uint64_t>(i);
+      net0.Send(1, std::move(out));
+    }
+  });
+  net1.RegisterEndpoint(1, [&](const Message& m) {
+    if (m.seq + 1 != kBurst) return;
+    Message answer;
+    answer.type = MsgType::kClientSubmit;
+    answer.from = 1;
+    net1.Send(0, std::move(answer));
+  });
+  if (!net0.Start().ok() || !net1.Start().ok()) std::abort();
+  Message kick;
+  kick.type = MsgType::kClientSubmit;
+  kick.from = 0;
+  net0.Send(0, std::move(kick));
+  finished.Wait();
+  const int64_t end = Clock::now().time_since_epoch().count();
+  net0.Stop();
+  net1.Stop();
+  HotpathResult r;
+  r.name = "tcpnet_burst";
+  r.threads = 2;
+  r.ops = bursts * kBurst;
+  r.elapsed_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                     Clock::duration(end - t0_ns.load()))
+                     .count();
+  r.p50_ns = lat.Percentile(50);
+  r.p99_ns = lat.Percentile(99);
+  r.messages = bursts * (kBurst + 1);
+  return r;
+}
+
 void PrintRow(const HotpathResult& r) {
   std::printf("%-24s %2zu thr %12.0f ops/s   p50 %6lldns  p99 %6lldns\n",
               r.name.c_str(), r.threads, r.throughput_ops(),
@@ -575,6 +646,7 @@ int Main(int argc, char** argv) {
   run([&] { return BenchWalStageCommit(scale / 40); });
   run([&] { return BenchThreadNetHop(scale / 4); });
   run([&] { return BenchTcpNetHop(scale / 4); });
+  run([&] { return BenchTcpNetBurst(scale / 16); });
 
   if (!WriteHotpathJson(out_path, quick, results)) {
     std::fprintf(stderr, "failed to write %s\n", out_path.c_str());

@@ -60,8 +60,8 @@ void AdvanceCoordinator::BeginStage(MsgType type, Version version, bool flag,
   stage_retries_ = 0;
   stalled_ = false;
   SendStage();
-  timers_.Cancel(retransmit_token_);
-  ArmRetransmit();
+  stage_deadline_ = network_->Now() + options_.retry_interval;
+  if (retransmit_token_ == 0) ArmRetransmit(options_.retry_interval);
 }
 
 void AdvanceCoordinator::SendStage() {
@@ -77,27 +77,37 @@ void AdvanceCoordinator::SendStage() {
   }
 }
 
-void AdvanceCoordinator::ArmRetransmit() {
+void AdvanceCoordinator::ArmRetransmit(Micros delay) {
   if (options_.retry_interval <= 0) return;
-  retransmit_token_ = timers_.Arm(options_.retry_interval, [this] {
-    if (awaiting_.empty()) return;
-    if (stage_retries_ >= options_.max_stage_retries) {
-      stalled_ = true;
-      std::string nodes;
-      for (NodeId n : awaiting_) nodes += " " + std::to_string(n);
-      THREEV_LOG(kWarn) << "coordinator: " << MsgTypeName(stage_type_)
-                        << " stage stalled after " << stage_retries_
-                        << " retransmits; still awaiting nodes" << nodes;
-      return;
-    }
-    ++stage_retries_;
-    if (metrics_ != nullptr) {
-      metrics_->advancement_retransmits.fetch_add(
-          static_cast<int64_t>(awaiting_.size()), std::memory_order_relaxed);
-    }
-    SendStage();
-    ArmRetransmit();
-  });
+  retransmit_token_ = timers_.Arm(delay, [this] { OnRetransmitTimer(); });
+}
+
+void AdvanceCoordinator::OnRetransmitTimer() {
+  retransmit_token_ = 0;
+  if (awaiting_.empty()) return;  // the next stage arms a new timer
+  const Micros now = network_->Now();
+  if (now < stage_deadline_) {
+    // Armed for an earlier stage: wait out the rest of this one's.
+    ArmRetransmit(stage_deadline_ - now);
+    return;
+  }
+  if (stage_retries_ >= options_.max_stage_retries) {
+    stalled_ = true;
+    std::string nodes;
+    for (NodeId n : awaiting_) nodes += " " + std::to_string(n);
+    THREEV_LOG(kWarn) << "coordinator: " << MsgTypeName(stage_type_)
+                      << " stage stalled after " << stage_retries_
+                      << " retransmits; still awaiting nodes" << nodes;
+    return;
+  }
+  ++stage_retries_;
+  if (metrics_ != nullptr) {
+    metrics_->advancement_retransmits.fetch_add(
+        static_cast<int64_t>(awaiting_.size()), std::memory_order_relaxed);
+  }
+  SendStage();
+  stage_deadline_ = now + options_.retry_interval;
+  ArmRetransmit(options_.retry_interval);
 }
 
 bool AdvanceCoordinator::LastAck(Phase phase, const Message& msg) {
@@ -235,7 +245,6 @@ void AdvanceCoordinator::AdvancePhase() {
 void AdvanceCoordinator::FinishAdvancement() {
   phase_ = Phase::kIdle;
   awaiting_.clear();
-  timers_.Cancel(retransmit_token_);
   const Micros now = network_->Now();
   SwitchPhaseSpan(now, /*ended=*/4, /*started=*/0);
   if (tracer_ != nullptr && tracer_->enabled()) {

@@ -119,7 +119,10 @@ class AdvanceCoordinator {
   void BeginStage(MsgType type, Version version, bool flag, uint64_t seq);
   // Sends the current stage's message to every node still awaited.
   void SendStage();
-  void ArmRetransmit();
+  // Arms the one retransmit timer to fire after `delay`.
+  void ArmRetransmit(Micros delay);
+  // Re-sends the current stage once its deadline has passed.
+  void OnRetransmitTimer();
   // Takes one node's ack of the stage `phase` opened; true once every node
   // has acked.
   bool LastAck(Phase phase, const Message& msg);
@@ -182,7 +185,13 @@ class AdvanceCoordinator {
   Version stage_version_ = 0;
   bool stage_flag_ = false;
   uint64_t stage_seq_ = 0;
-  // The stage's retransmit timer; cancelled when the next stage opens.
+  // When the current stage is next re-sent.
+  Micros stage_deadline_ = 0;
+  // The one armed retransmit timer, 0 when none is. A stage that ends
+  // leaves it armed: the next stage takes it over and, when it fires
+  // before that stage's deadline, it re-arms for the rest. So a kTimer
+  // reaches the coordinator about once per retry_interval, not once per
+  // stage.
   uint64_t retransmit_token_ = 0;
   size_t stage_retries_ = 0;
   // The stage used up max_stage_retries with nodes still awaited.

@@ -1,5 +1,8 @@
 #include "threev/fuzz/fuzz.h"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <filesystem>
 #include <map>
 #include <sstream>
@@ -21,6 +24,10 @@ namespace {
 constexpr uint64_t kDropSalt = 0xa0761d6478bd642fULL;
 constexpr uint64_t kReorderSalt = 0xe7037ed1a0b428dbULL;
 
+// Numbers the runs of this process, so that two runs of one seed (two
+// threads, or two sweeps in two processes) never share a WAL directory.
+std::atomic<uint64_t> next_run{0};
+
 std::filesystem::path ScratchDir(const FuzzPlan& plan,
                                  const FuzzOptions& options) {
   if (!options.scratch_dir.empty()) {
@@ -28,7 +35,8 @@ std::filesystem::path ScratchDir(const FuzzPlan& plan,
   }
   return std::filesystem::temp_directory_path() /
          ("threev_fuzz_" + std::to_string(plan.seed) +
-          (plan.quick ? "_q" : ""));
+          (plan.quick ? "_q_" : "_") + std::to_string(::getpid()) + "_" +
+          std::to_string(next_run.fetch_add(1, std::memory_order_relaxed)));
 }
 
 }  // namespace

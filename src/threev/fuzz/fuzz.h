@@ -25,8 +25,10 @@ struct FuzzOptions {
   };
   InjectedBug injected_bug = InjectedBug::kNone;
   int bug_node = 0;
-  // WAL scratch directory; empty derives one from the seed under the
-  // system temp dir. Wiped at the start of every run.
+  // WAL scratch directory; empty derives one under the system temp dir
+  // from the seed, the process id and a per-process run number, so that
+  // concurrent runs of one seed never share it. Wiped at the start and
+  // removed at the end of every run.
   std::string scratch_dir;
   // Virtual-time budgets. A healthy schedule finishes far inside these;
   // exceeding one is itself an oracle failure (liveness), never a hang.

@@ -26,6 +26,7 @@ void Metrics::Reset() {
   wal_fsyncs = 0;
   wal_commits = 0;
   wal_commit_failures = 0;
+  net_writes = 0;
   checkpoints_written = 0;
   checkpoint_bytes = 0;
   recoveries = 0;
@@ -66,6 +67,7 @@ void Metrics::MergeFrom(const Metrics& other) {
   wal_fsyncs += other.wal_fsyncs.load();
   wal_commits += other.wal_commits.load();
   wal_commit_failures += other.wal_commit_failures.load();
+  net_writes += other.net_writes.load();
   checkpoints_written += other.checkpoints_written.load();
   checkpoint_bytes += other.checkpoint_bytes.load();
   recoveries += other.recoveries.load();
@@ -91,7 +93,8 @@ std::string Metrics::Report() const {
      << " subtxns=" << subtxns_executed.load()
      << " compensations=" << compensations_sent.load() << "\n";
   os << "net: messages=" << messages_sent.load()
-     << " bytes=" << bytes_sent.load() << "\n";
+     << " bytes=" << bytes_sent.load()
+     << " writes=" << net_writes.load() << "\n";
   os << "versioning: copies=" << version_copies.load()
      << " bytes_copied=" << bytes_copied.load()
      << " dual_writes=" << dual_version_writes.load()

@@ -83,6 +83,9 @@ struct Metrics {
   // cache-line neighbours.
   std::atomic<int64_t> wal_commits{0};
   std::atomic<int64_t> wal_commit_failures{0};
+  // TCP writes: one per successful send(2) on an outbound connection, so
+  // remote frames sent over net_writes is frames per write.
+  std::atomic<int64_t> net_writes{0};
 
   void Reset();
 

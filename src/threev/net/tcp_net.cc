@@ -6,7 +6,6 @@
 #include <poll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -21,9 +20,9 @@ namespace threev {
 
 namespace {
 
-// Frames per sendmsg() call; keeps the iovec array on the stack and stays
-// well under IOV_MAX everywhere.
-constexpr size_t kMaxIov = 64;
+// An outbox buffer that grew past this (a burst or a huge frame) is freed
+// after its flush rather than kept.
+constexpr size_t kMaxKeptOutbox = 64 << 10;
 
 // Parses "host:port"; host must be a dotted-quad (or "localhost").
 bool ParseAddress(const std::string& addr, sockaddr_in* out) {
@@ -39,34 +38,30 @@ bool ParseAddress(const std::string& addr, sockaddr_in* out) {
   return inet_pton(AF_INET, host.c_str(), &out->sin_addr) == 1;
 }
 
-// Fully writes a scatter-gather array, adjusting for partial sends.
-bool SendAll(int fd, iovec* iov, size_t iovcnt) {
-  while (iovcnt > 0) {
-    msghdr mh{};
-    mh.msg_iov = iov;
-    mh.msg_iovlen = iovcnt;
-    ssize_t n = ::sendmsg(fd, &mh, MSG_NOSIGNAL);
+// Writes all `size` bytes at `data`, counting each successful send into
+// `*writes`.
+bool SendAll(int fd, const uint8_t* data, size_t size, int64_t* writes) {
+  while (size > 0) {
+    const ssize_t n = ::send(fd, data, size, MSG_NOSIGNAL);
+    if (n < 0 && errno == EINTR) continue;
     if (n <= 0) return false;
-    size_t left = static_cast<size_t>(n);
-    while (iovcnt > 0 && left >= iov->iov_len) {
-      left -= iov->iov_len;
-      ++iov;
-      --iovcnt;
-    }
-    if (left > 0) {
-      iov->iov_base = static_cast<uint8_t*>(iov->iov_base) + left;
-      iov->iov_len -= left;
-    }
+    ++*writes;
+    data += n;
+    size -= static_cast<size_t>(n);
   }
   return true;
 }
 
 }  // namespace
 
+TcpNet::Conn::~Conn() { ::close(fd); }
+
 TcpNet::TcpNet(TcpNetOptions options, Metrics* metrics)
     : options_(std::move(options)),
       metrics_(metrics),
-      local_(ThreadNetOptions{.tracer = options_.tracer}) {}
+      local_(ThreadNetOptions{
+          .tracer = options_.tracer,
+          .end_turn = [this](NodeId worker) { EndTurn(worker); }}) {}
 
 TcpNet::~TcpNet() { Stop(); }
 
@@ -74,6 +69,7 @@ Micros TcpNet::Now() const { return local_.Now(); }
 
 void TcpNet::RegisterEndpoint(NodeId id, MessageHandler handler) {
   local_.RegisterEndpoint(id, std::move(handler));
+  corked_[id];
 }
 
 void TcpNet::ScheduleAfter(Micros delay, std::function<void()> fn) {
@@ -127,15 +123,15 @@ void TcpNet::Stop() {
   }
   {
     MutexLock lock(conn_mu_);
-    for (auto& [id, conn] : connections_) {
-      ::shutdown(conn->fd, SHUT_RDWR);
-      ::close(conn->fd);
-    }
+    // A thread blocked writing one of these wakes with an error; each
+    // socket closes when its last holder lets go.
+    for (auto& [id, conn] : connections_) ::shutdown(conn->fd, SHUT_RDWR);
     connections_.clear();
   }
   // Stops the timer, then drains the local mailboxes; handlers that send
-  // to a remote endpoint now find no connection and drop the message. The
-  // workers close the inbound connections they own as they exit.
+  // to a remote endpoint now find no connection and drop the message, and
+  // frames still corked fail to write and are dropped with their socket.
+  // The workers close the inbound connections they own as they exit.
   local_.Stop();
 }
 
@@ -230,14 +226,10 @@ std::shared_ptr<TcpNet::Conn> TcpNet::ConnectionTo(NodeId to) {
     if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
       int one = 1;
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      auto conn = std::make_shared<Conn>();
-      conn->fd = fd;
+      auto conn = std::make_shared<Conn>(to, fd);
       MutexLock lock(conn_mu_);
-      auto [it, inserted] = connections_.emplace(to, conn);
-      if (!inserted) {
-        ::close(fd);  // another thread raced us; use theirs
-      }
-      return it->second;
+      // If another thread raced us, use theirs; ours closes on return.
+      return connections_.emplace(to, std::move(conn)).first->second;
     }
     ::close(fd);
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -245,46 +237,46 @@ std::shared_ptr<TcpNet::Conn> TcpNet::ConnectionTo(NodeId to) {
   return nullptr;
 }
 
-void TcpNet::DropConn(NodeId to, const std::shared_ptr<Conn>& conn) {
+void TcpNet::DropConn(const Conn& conn) {
   MutexLock lock(conn_mu_);
-  auto it = connections_.find(to);
-  if (it != connections_.end() && it->second == conn) {
-    ::close(conn->fd);
+  auto it = connections_.find(conn.to);
+  if (it != connections_.end() && it->second.get() == &conn) {
     connections_.erase(it);
   }
 }
 
-void TcpNet::FlushConn(const std::shared_ptr<Conn>& conn, NodeId to) {
-  for (;;) {
-    std::vector<std::vector<uint8_t>> batch;
-    {
-      MutexLock lock(conn->mu);
-      if (conn->pending.empty()) {
-        conn->flushing = false;
-        return;
-      }
-      batch.swap(conn->pending);
+void TcpNet::Flush(Conn& conn) {
+  MutexLock lock(conn.mu);
+  // A thread already writing conn writes these frames too.
+  if (conn.flushing) return;
+  conn.flushing = true;
+  while (!conn.outbox.empty()) {
+    conn.outbox.swap(conn.spare);
+    lock.unlock();
+    int64_t writes = 0;
+    const bool sent =
+        SendAll(conn.fd, conn.spare.data(), conn.spare.size(), &writes);
+    if (metrics_ != nullptr) {
+      metrics_->net_writes.fetch_add(writes, std::memory_order_relaxed);
     }
-    size_t i = 0;
-    while (i < batch.size()) {
-      iovec iov[kMaxIov];
-      size_t n = 0;
-      for (; n < kMaxIov && i + n < batch.size(); ++n) {
-        iov[n].iov_base = batch[i + n].data();
-        iov[n].iov_len = batch[i + n].size();
-      }
-      if (!SendAll(conn->fd, iov, n)) {
-        THREEV_LOG(kWarn) << "write to endpoint " << to << " failed";
-        DropConn(to, conn);
-        MutexLock lock(conn->mu);
-        conn->pending.clear();  // connection is gone; drop queued frames
-        conn->flushing = false;
-        return;
-      }
-      i += n;
+    conn.spare.clear();
+    if (conn.spare.capacity() > kMaxKeptOutbox) {
+      std::vector<uint8_t>().swap(conn.spare);
     }
-    for (auto& frame : batch) frame_pool_.Release(std::move(frame));
+    if (!sent) {
+      THREEV_LOG(kWarn) << "write to endpoint " << conn.to << " failed";
+      DropConn(conn);
+    }
+    lock.lock();
+    if (!sent) conn.outbox.clear();  // connection is gone; drop the rest
   }
+  conn.flushing = false;
+}
+
+void TcpNet::EndTurn(NodeId worker) {
+  std::vector<std::shared_ptr<Conn>>& dirty = corked_.find(worker)->second;
+  for (const std::shared_ptr<Conn>& conn : dirty) Flush(*conn);
+  dirty.clear();
 }
 
 void TcpNet::Send(NodeId to, Message msg) {
@@ -298,24 +290,10 @@ void TcpNet::Send(NodeId to, Message msg) {
   // Local endpoint: skip the wire, but still go through its mailbox so the
   // no-synchronous-delivery contract holds.
   if (local_.Deliver(to, std::move(msg))) return;
-  // Build the full frame (header + payload) in one recycled buffer. The
-  // exact-size pre-pass lets the length prefix go first, with no patching
-  // and no second buffer.
-  const size_t payload_size = EncodedMessageSize(msg);
-  std::vector<uint8_t> frame = frame_pool_.Acquire();
-  {
-    WireWriter w(&frame);
-    w.Reserve(kFrameHeaderBytes + payload_size);
-    w.U32(static_cast<uint32_t>(payload_size));
-    w.U32(to);
-    EncodeMessageTo(w, msg);
-  }
-  // The length header was written before the payload, so the size pre-pass
-  // must be exact or the receiver mis-frames the stream.
-  THREEV_CHECK(frame.size() == kFrameHeaderBytes + payload_size);
+  const size_t frame_size = kFrameHeaderBytes + EncodedMessageSize(msg);
   if (metrics_ != nullptr) {
     // Real bytes handed to the socket for this message, header included.
-    metrics_->bytes_sent.fetch_add(static_cast<int64_t>(frame.size()),
+    metrics_->bytes_sent.fetch_add(static_cast<int64_t>(frame_size),
                                    std::memory_order_relaxed);
   }
   std::shared_ptr<Conn> conn = ConnectionTo(to);
@@ -324,16 +302,32 @@ void TcpNet::Send(NodeId to, Message msg) {
                       << MsgTypeName(msg.type);
     return;
   }
-  bool flush;
   {
     MutexLock lock(conn->mu);
-    conn->pending.push_back(std::move(frame));
-    flush = !conn->flushing;
-    if (flush) conn->flushing = true;
+    // The exact-size pre-pass lets the length prefix go first, with no
+    // patching and no second buffer.
+    const size_t start = conn->outbox.size();
+    {
+      WireWriter w(&conn->outbox, start);
+      w.Reserve(frame_size);
+      w.U32(static_cast<uint32_t>(frame_size - kFrameHeaderBytes));
+      w.U32(to);
+      EncodeMessageTo(w, msg);
+    }
+    // The length header was written before the payload, so the size
+    // pre-pass must be exact or the receiver mis-frames the stream.
+    THREEV_CHECK(conn->outbox.size() - start == frame_size);
   }
-  // First sender to find the connection idle drains it - including frames
-  // that arrive while it is busy writing. Everyone else just enqueued.
-  if (flush) FlushConn(conn, to);
+  NodeId worker = 0;
+  if (!local_.OnWorker(&worker)) {
+    Flush(*conn);
+    return;
+  }
+  // Corked: the worker writes it at the end of this turn.
+  std::vector<std::shared_ptr<Conn>>& dirty = corked_.find(worker)->second;
+  if (std::find(dirty.begin(), dirty.end(), conn) == dirty.end()) {
+    dirty.push_back(std::move(conn));
+  }
 }
 
 }  // namespace threev

@@ -14,7 +14,6 @@
 #include "threev/metrics/metrics.h"
 #include "threev/net/network.h"
 #include "threev/net/thread_net.h"
-#include "threev/net/wire.h"
 #include "threev/trace/trace.h"
 
 namespace threev {
@@ -50,13 +49,15 @@ struct TcpNetOptions {
 // thread exists per connection. Handlers are serialized per endpoint
 // exactly as on ThreadNet.
 //
-// Outbound frames use a combining flush per connection: senders enqueue an
-// encoded frame under the connection's lock, and whichever sender finds
-// the connection idle becomes the flusher, draining every queued frame
-// into a single scatter-gather syscall. Concurrent senders to one peer
-// coalesce instead of serializing on a process-wide write lock, and the
-// frame buffers recycle through an EncodeBufferPool so steady-state sends
-// do not allocate.
+// Outbound frames are encoded straight into their connection's outbox,
+// one byte buffer. A send made on one of this net's workers is corked
+// until the end of the worker's turn (ThreadNetOptions::end_turn), which
+// writes each connection the turn touched with one send(2); a send from
+// any other thread writes at once. Writing is a combining flush: the
+// thread that finds the connection idle writes everything queued, frames
+// appended meanwhile included, while others only append (the client and
+// coordinator workers share connections). Appending under the
+// connection's lock keeps each (from, to) pair in send order.
 class TcpNet : public Network {
  public:
   explicit TcpNet(TcpNetOptions options, Metrics* metrics = nullptr);
@@ -80,14 +81,21 @@ class TcpNet : public Network {
   void Stop() EXCLUDES(conn_mu_);
 
  private:
-  // One outbound TCP connection. `pending` holds fully framed buffers
-  // (header + payload); `flushing` marks that some sender is draining the
-  // queue, so others just enqueue and leave.
+  // One outbound TCP connection. The socket closes with the last owner,
+  // so a late writer never reaches a reused fd. `outbox` holds whole
+  // frames not yet written. While `flushing`, the writing thread owns
+  // `spare`: it swaps the outbox into it and writes it with no lock held,
+  // so both buffers keep their capacity.
   struct Conn {
-    int fd = -1;
+    Conn(NodeId to_in, int fd_in) : to(to_in), fd(fd_in) {}
+    ~Conn();  // closes fd; `mu` makes Conn neither copyable nor movable
+
+    const NodeId to;
+    const int fd;
     Mutex mu;
-    std::vector<std::vector<uint8_t>> pending GUARDED_BY(mu);
+    std::vector<uint8_t> outbox GUARDED_BY(mu);
     bool flushing GUARDED_BY(mu) = false;
+    std::vector<uint8_t> spare;
   };
 
   // An accepted connection that has not yet named a local endpoint.
@@ -105,13 +113,13 @@ class TcpNet : public Network {
   bool RouteStep(Unrouted& u);
   // Returns the cached (or freshly established) connection to `to`.
   std::shared_ptr<Conn> ConnectionTo(NodeId to) EXCLUDES(conn_mu_);
-  // Drains conn->pending with sendmsg() until another flusher takes over
-  // or the queue is empty. Called by the sender that set `flushing`.
-  void FlushConn(const std::shared_ptr<Conn>& conn, NodeId to)
-      EXCLUDES(conn_mu_);
-  // Closes and forgets a broken connection (if still current).
-  void DropConn(NodeId to, const std::shared_ptr<Conn>& conn)
-      EXCLUDES(conn_mu_);
+  // Writes conn's outbox until it is empty, unless another thread is
+  // already doing so.
+  void Flush(Conn& conn) EXCLUDES(conn_mu_);
+  // Flushes the connections `worker` corked this turn (end_turn hook).
+  void EndTurn(NodeId worker) EXCLUDES(conn_mu_);
+  // Forgets a broken connection (if still current).
+  void DropConn(const Conn& conn) EXCLUDES(conn_mu_);
 
   TcpNetOptions options_;
   Metrics* metrics_;
@@ -131,8 +139,10 @@ class TcpNet : public Network {
   Mutex conn_mu_;
   std::unordered_map<NodeId, std::shared_ptr<Conn>> connections_
       GUARDED_BY(conn_mu_);
-  // Recycles encoded frame buffers across sends.
-  EncodeBufferPool frame_pool_;
+  // Per local endpoint, the connections its worker corked this turn. The
+  // map is filled by RegisterEndpoint and read-only once Start() ran; each
+  // list is touched only by its endpoint's worker.
+  std::unordered_map<NodeId, std::vector<std::shared_ptr<Conn>>> corked_;
 };
 
 }  // namespace threev

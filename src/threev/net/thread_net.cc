@@ -23,6 +23,10 @@ constexpr size_t kInitialConnBuffer = 4096;
 // Ready descriptors taken per epoll_wait.
 constexpr int kMaxEvents = 64;
 
+// The ThreadNet, and its endpoint, whose worker runs on this thread.
+thread_local const ThreadNet* tl_worker_net = nullptr;
+thread_local NodeId tl_worker_self = 0;
+
 void WakeFd(int fd) {
   const uint64_t one = 1;
   // Cannot fail short of a counter overflow, which would leave it readable
@@ -178,6 +182,12 @@ bool ThreadNet::AdoptConnection(NodeId owner, int fd, const uint8_t* data,
   return true;
 }
 
+bool ThreadNet::OnWorker(NodeId* self) const {
+  if (tl_worker_net != this) return false;
+  *self = tl_worker_self;
+  return true;
+}
+
 void ThreadNet::Dispatch(NodeId self, Endpoint* e, const Message& msg) {
   Tracer* tracer = options_.tracer;
   if (tracer != nullptr && tracer->enabled()) {
@@ -188,6 +198,8 @@ void ThreadNet::Dispatch(NodeId self, Endpoint* e, const Message& msg) {
 }
 
 void ThreadNet::WorkerLoop(NodeId self, Endpoint* e) {
+  tl_worker_net = this;
+  tl_worker_self = self;
   // Swapped with the mailbox each turn, so both vectors keep their
   // capacity and a steady stream of messages does not allocate.
   std::vector<Message> batch;
@@ -229,11 +241,15 @@ void ThreadNet::WorkerLoop(NodeId self, Endpoint* e) {
     for (const Message& msg : batch) Dispatch(self, e, msg);
     batch.clear();
     // Everything pushed before Stop() closed the mailbox was in this batch.
-    if (closed) return;
+    if (closed) {
+      if (options_.end_turn) options_.end_turn(self);
+      return;
+    }
 
     int timeout = 0;
     if (!worked) {
-      // Park. The worker stores `parked` and then re-checks the mailbox; a
+      // Park; nothing ran since the last end_turn, so nothing is corked.
+      // The worker stores `parked` and then re-checks the mailbox; a
       // producer pushes and then loads `parked` (Endpoint::WakeIfParked).
       // Both sides are seq_cst, and the re-check and the push take the
       // mailbox lock, so one of the two sees the other: if the push came
@@ -254,6 +270,7 @@ void ThreadNet::WorkerLoop(NodeId self, Endpoint* e) {
       }
       timeout = -1;
     } else if (conns.empty()) {
+      if (options_.end_turn) options_.end_turn(self);
       continue;  // busy, and no socket to look at
     }
     const int n = ::epoll_wait(e->epoll_fd, events, kMaxEvents, timeout);
@@ -267,6 +284,7 @@ void ThreadNet::WorkerLoop(NodeId self, Endpoint* e) {
         drop(conn);
       }
     }
+    if (options_.end_turn) options_.end_turn(self);
   }
 }
 

@@ -22,6 +22,10 @@ struct ThreadNetOptions {
   // Observability: records kMsgSend/kMsgRecv instants carrying each
   // message's trace context. Unowned, may be null.
   Tracer* tracer = nullptr;
+  // Called on an endpoint's worker, with its id, at the end of each turn
+  // (see ThreadNet); TcpNet writes the turn's corked frames here. May be
+  // empty.
+  std::function<void(NodeId)> end_turn;
 };
 
 // One mailbox + worker thread per endpoint; a dedicated timer thread serves
@@ -39,7 +43,9 @@ struct ThreadNetOptions {
 // sockets, so a frame goes from the kernel to its handler with one wakeup,
 // and a local Deliver writes the eventfd only when the worker is parked.
 // An endpoint that was handed no connection never polls its (empty)
-// socket set while busy.
+// socket set while busy. A turn is one mailbox batch plus one epoll round
+// of socket frames; ThreadNetOptions::end_turn runs at the end of each,
+// and a worker parks only after a turn that ran nothing.
 class ThreadNet : public Network {
  public:
   explicit ThreadNet(ThreadNetOptions options = {}, Metrics* metrics = nullptr);
@@ -74,6 +80,10 @@ class ThreadNet : public Network {
   // `fd` untouched, when `owner` is not a registered endpoint; otherwise
   // the fd belongs to this ThreadNet (closed at once if it has stopped).
   bool AdoptConnection(NodeId owner, int fd, const uint8_t* data, size_t size);
+
+  // True, setting `*self`, when the caller runs on the worker of this
+  // ThreadNet's endpoint `*self`, so end_turn runs before it parks.
+  bool OnWorker(NodeId* self) const;
 
   // Starts worker threads. Call after all endpoints are registered.
   void Start();

@@ -8,9 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "threev/common/mutex.h"
 #include "threev/common/status.h"
-#include "threev/common/thread_annotations.h"
 #include "threev/net/message.h"
 
 namespace threev {
@@ -23,7 +21,7 @@ namespace threev {
 // push_back per byte), so the encode hot path is a handful of bulk writes.
 // The writer can either own its buffer or append into a caller-provided
 // vector, which lets callers reuse encode capacity across messages (see
-// EncodeMessageInto / EncodeBufferPool).
+// EncodeMessageInto).
 class WireWriter {
  public:
   WireWriter() : buf_(&owned_) {}
@@ -172,35 +170,6 @@ inline FrameHeader ParseFrameHeader(const uint8_t* p) {
   };
   return FrameHeader{u32(p), u32(p + 4)};
 }
-
-// Bounded free-list of encode buffers, shared by sender threads. Acquire a
-// buffer, EncodeMessageInto it, hand the frame to the socket, Release it
-// back; capacity survives the round trip, so steady-state encoding does
-// not allocate.
-class EncodeBufferPool {
- public:
-  explicit EncodeBufferPool(size_t max_buffers = 16)
-      : max_buffers_(max_buffers) {}
-
-  std::vector<uint8_t> Acquire() {
-    MutexLock lock(mu_);
-    if (free_.empty()) return {};
-    std::vector<uint8_t> buf = std::move(free_.back());
-    free_.pop_back();
-    return buf;
-  }
-
-  void Release(std::vector<uint8_t> buf) {
-    buf.clear();  // keep capacity, drop contents
-    MutexLock lock(mu_);
-    if (free_.size() < max_buffers_) free_.push_back(std::move(buf));
-  }
-
- private:
-  const size_t max_buffers_;
-  Mutex mu_;
-  std::vector<std::vector<uint8_t>> free_ GUARDED_BY(mu_);
-};
 
 }  // namespace threev
 

@@ -77,6 +77,7 @@ std::string PrometheusText(const Metrics& m, const std::string& labels) {
   AppendCounter(&out, "wal_commits", m.wal_commits.load(), labels);
   AppendCounter(&out, "wal_commit_failures", m.wal_commit_failures.load(),
                 labels);
+  AppendCounter(&out, "net_writes", m.net_writes.load(), labels);
   AppendCounter(&out, "checkpoints_written", m.checkpoints_written.load(),
                 labels);
   AppendCounter(&out, "checkpoint_bytes", m.checkpoint_bytes.load(), labels);

@@ -6,8 +6,12 @@
 // schedule.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "threev/fuzz/fuzz.h"
 #include "threev/fuzz/plan.h"
@@ -135,6 +139,37 @@ TEST(FuzzRunTest, SmallCleanSweep) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     FuzzResult result = fuzz::RunSeed(seed, /*quick=*/true, options);
     EXPECT_TRUE(result.ok) << "seed " << seed << ": " << result.Summary();
+  }
+}
+
+// Two runs of one seed at once with the default scratch directory (as two
+// concurrent sweeps make) must not share WAL files, and each removes its
+// directory when it finishes.
+TEST(FuzzRunTest, OneSeedInTwoThreadsWithDefaultOptions) {
+  // A quick run takes about a millisecond, so each thread runs the seed
+  // many times to make the two overlap.
+  constexpr int kRuns = 25;
+  const FuzzPlan plan = BuildPlan(17, /*quick=*/true);
+  std::vector<FuzzResult> a(kRuns);
+  std::vector<FuzzResult> b(kRuns);
+  auto sweep = [&plan](std::vector<FuzzResult>* out) {
+    for (FuzzResult& r : *out) r = RunPlan(plan, FuzzOptions{});
+  };
+  std::thread first(sweep, &a);
+  std::thread second(sweep, &b);
+  first.join();
+  second.join();
+  for (int i = 0; i < kRuns; ++i) {
+    EXPECT_TRUE(a[i].ok) << a[i].Summary();
+    EXPECT_TRUE(b[i].ok) << b[i].Summary();
+    EXPECT_EQ(a[i].history_hash, a[0].history_hash);
+    EXPECT_EQ(b[i].history_hash, a[0].history_hash);
+  }
+  const std::string mine = "threev_fuzz_17_q_" + std::to_string(::getpid());
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::filesystem::temp_directory_path())) {
+    EXPECT_NE(entry.path().filename().string().rfind(mine, 0), 0u)
+        << "left behind: " << entry.path();
   }
 }
 

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <thread>
 
 #include "threev/common/wait_group.h"
@@ -506,6 +507,177 @@ TEST_F(TcpReceiveTest, ThreadCountDoesNotGrowWithInboundConnections) {
   net_->Stop();
   for (int fd : fds) ::close(fd);
   EXPECT_EQ(Seqs(0).size(), static_cast<size_t>(kConns));
+}
+
+// A sending TcpNet that hosts the endpoints `senders` and a receiving
+// TcpNet that hosts kSink, which records each frame's seq by sender (read
+// it with Got after both nets stopped, or once Arrived). The sending net
+// counts into metrics_, so net_writes counts only its socket writes.
+class TcpCorkTest : public ::testing::Test {
+ protected:
+  static constexpr NodeId kSink = 9;
+  using Handler = std::function<void(NodeId self, const Message& msg)>;
+
+  void Start(const std::vector<NodeId>& senders, int expected,
+             Handler handler) {
+    const std::vector<uint16_t> ports = FreePorts(2);
+    std::map<NodeId, std::string> peers;
+    for (NodeId id : senders) {
+      peers[id] = "127.0.0.1:" + std::to_string(ports[0]);
+    }
+    peers[kSink] = "127.0.0.1:" + std::to_string(ports[1]);
+    sender_ = std::make_unique<TcpNet>(
+        TcpNetOptions{.peers = peers, .listen_port = ports[0]}, &metrics_);
+    sink_ = std::make_unique<TcpNet>(
+        TcpNetOptions{.peers = peers, .listen_port = ports[1]});
+    for (NodeId id : senders) {
+      sender_->RegisterEndpoint(
+          id, [handler, id](const Message& m) { handler(id, m); });
+    }
+    wg_.Add(expected);
+    sink_->RegisterEndpoint(kSink, [this](const Message& m) {
+      {
+        MutexLock lock(mu_);
+        got_[m.from].push_back(m.seq);
+      }
+      wg_.Done();
+    });
+    ASSERT_TRUE(sink_->Start().ok());
+    ASSERT_TRUE(sender_->Start().ok());
+  }
+
+  void TearDown() override {
+    if (sender_ != nullptr) sender_->Stop();
+    if (sink_ != nullptr) sink_->Stop();
+  }
+
+  // Sends `seq` from `from` to the sink.
+  void SendToSink(NodeId from, uint64_t seq) {
+    Message m = SeqMessage(seq);
+    m.from = from;
+    sender_->Send(kSink, std::move(m));
+  }
+
+  // Runs `self`'s handler with `seq` on its worker.
+  void Kick(NodeId self, uint64_t seq) {
+    Message m = SeqMessage(seq);
+    m.from = self;
+    sender_->Send(self, std::move(m));
+  }
+
+  bool Arrived() { return wg_.WaitFor(std::chrono::milliseconds(15'000)); }
+
+  std::vector<uint64_t> Got(NodeId from) {
+    MutexLock lock(mu_);
+    return got_[from];
+  }
+
+  static std::vector<uint64_t> OneTo(uint64_t n) {
+    std::vector<uint64_t> seqs;
+    for (uint64_t seq = 1; seq <= n; ++seq) seqs.push_back(seq);
+    return seqs;
+  }
+
+  Metrics metrics_;
+  std::unique_ptr<TcpNet> sender_;
+  std::unique_ptr<TcpNet> sink_;
+  WaitGroup wg_;
+  Mutex mu_;
+  std::map<NodeId, std::vector<uint64_t>> got_;
+};
+
+// The frames one handler turn sends to a peer leave in one write, in order.
+TEST_F(TcpCorkTest, FramesOfOneTurnLeaveInOneWrite) {
+  constexpr uint64_t kFrames = 8;
+  Start({0}, kFrames, [this](NodeId self, const Message&) {
+    for (uint64_t seq = 1; seq <= kFrames; ++seq) SendToSink(self, seq);
+  });
+  Kick(0, 0);
+  ASSERT_TRUE(Arrived());
+  sender_->Stop();  // the worker counts its write after the sink has it
+  EXPECT_EQ(metrics_.net_writes.load(), 1);
+  EXPECT_EQ(Got(0), OneTo(kFrames));
+}
+
+// A send from a thread that is no worker of the net is written before Send
+// returns, and reaches the parked sink with no turn on the sender.
+TEST_F(TcpCorkTest, SendOffTheWorkersLeavesAtOnce) {
+  std::atomic<int> turns{0};
+  Start({0}, 1, [&turns](NodeId, const Message&) { turns.fetch_add(1); });
+  SendToSink(0, 7);
+  EXPECT_EQ(metrics_.net_writes.load(), 1);
+  ASSERT_TRUE(Arrived());
+  EXPECT_EQ(turns.load(), 0);
+  EXPECT_EQ(Got(0), (std::vector<uint64_t>{7}));
+}
+
+// Corked sends from endpoint 0's turns and sends made for it on the timer
+// thread, which write at once, interleave on one connection; the sink
+// still sees them in send order.
+TEST_F(TcpCorkTest, TurnAndTimerThreadSendsKeepTheirOrder) {
+  constexpr uint64_t kRounds = 20;
+  Start({0}, 3 * kRounds, [this](NodeId self, const Message& kick) {
+    const uint64_t round = kick.seq;
+    SendToSink(self, 3 * round + 1);  // corked
+    std::atomic<bool> sent{false};
+    sender_->ScheduleAfter(0, [&] {
+      SendToSink(self, 3 * round + 2);  // written at once, after the above
+      sent.store(true);
+    });
+    while (!sent.load()) std::this_thread::yield();
+    SendToSink(self, 3 * round + 3);  // corked until the turn ends
+    if (round + 1 < kRounds) Kick(self, round + 1);
+  });
+  Kick(0, 0);
+  ASSERT_TRUE(Arrived());
+  EXPECT_EQ(Got(0), OneTo(3 * kRounds));
+}
+
+// Stop() shuts the connection while a handler has a frame corked and goes
+// on sending: the frames are dropped, and Stop() returns.
+TEST_F(TcpCorkTest, StopWithFramesCorkedReturns) {
+  WaitGroup corked;
+  corked.Add(1);
+  std::atomic<bool> stopping{false};
+  Start({0}, 0, [&](NodeId self, const Message&) {
+    SendToSink(self, 1);
+    corked.Done();
+    while (!stopping.load()) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    SendToSink(self, 2);
+  });
+  Kick(0, 0);
+  ASSERT_TRUE(corked.WaitFor(std::chrono::milliseconds(15'000)));
+  const auto begin = std::chrono::steady_clock::now();
+  stopping.store(true);
+  sender_->Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - begin, std::chrono::seconds(5));
+  sink_->Stop();
+  EXPECT_LE(Got(0).size(), 1u);
+}
+
+// Two workers of one TcpNet send bursts to one peer at the same time, so
+// their turn-end flushes race on one connection (the combining flush):
+// every frame arrives exactly once, in its sender's order. Labelled
+// `stress` (tests/CMakeLists.txt).
+class TcpNetStressTest : public TcpCorkTest {};
+
+TEST_F(TcpNetStressTest, TwoWorkersBurstToOnePeer) {
+  constexpr uint64_t kTurns = 300;
+  constexpr uint64_t kPerTurn = 5;
+  Start({0, 1}, 2 * kTurns * kPerTurn, [this](NodeId self, const Message& m) {
+    for (uint64_t i = 1; i <= kPerTurn; ++i) {
+      SendToSink(self, m.seq * kPerTurn + i);
+    }
+    if (m.seq + 1 < kTurns) Kick(self, m.seq + 1);
+  });
+  Kick(0, 0);
+  Kick(1, 0);
+  ASSERT_TRUE(Arrived());
+  sender_->Stop();
+  sink_->Stop();
+  EXPECT_EQ(Got(0), OneTo(kTurns * kPerTurn));
+  EXPECT_EQ(Got(1), OneTo(kTurns * kPerTurn));
 }
 
 }  // namespace
