@@ -299,30 +299,6 @@ HotpathResult BenchWireEncode(int64_t batches) {
   return r;
 }
 
-// Buffer-reusing encode, as TcpNet's frame path does it: after the first
-// iteration the vector has grown to the frame size and encoding is pure
-// stores - the steady-state send path allocates nothing.
-HotpathResult BenchWireEncodePooled(int64_t batches) {
-  Message m = MakeWireMessage();
-  size_t frame = EncodeMessage(m).size();
-  Histogram lat;
-  auto body = [&](size_t) {
-    std::vector<uint8_t> buf;
-    for (int64_t b = 0; b < batches; ++b) {
-      Clock::time_point t0 = Clock::now();
-      for (int i = 0; i < kBatch; ++i) {
-        EncodeMessageInto(m, &buf);
-        if (buf.size() != frame) std::abort();
-      }
-      lat.Record(ElapsedNs(t0) / kBatch);
-    }
-  };
-  HotpathResult r = RunThreads("wire_encode_pooled", 1, batches, lat, body);
-  r.messages = r.ops;
-  r.bytes = r.ops * static_cast<int64_t>(frame);
-  return r;
-}
-
 HotpathResult BenchWireDecode(int64_t batches) {
   Message m = MakeWireMessage();
   std::vector<uint8_t> buf = EncodeMessage(m);
@@ -641,7 +617,6 @@ int Main(int argc, char** argv) {
   run([&] { return BenchStoreReadSpread(scale); });
   run([&] { return BenchStoreGc(scale / 40); });
   run([&] { return BenchWireEncode(scale / 4); });
-  run([&] { return BenchWireEncodePooled(scale / 4); });
   run([&] { return BenchWireDecode(scale / 4); });
   run([&] { return BenchWalStageCommit(scale / 40); });
   run([&] { return BenchThreadNetHop(scale / 4); });

@@ -9,34 +9,14 @@ namespace threev {
 // under ThreadNet/TcpNet it is steady-clock time since an arbitrary epoch.
 using Micros = int64_t;
 
-// Clock abstraction so protocol code and metrics work identically in
-// simulated and real deployments. Implementations must be thread-safe.
-class Clock {
+// Steady-clock time for the real transports (std::chrono::steady_clock).
+class RealClock {
  public:
-  virtual ~Clock() = default;
-  virtual Micros Now() const = 0;
-};
-
-// Wall-clock-backed clock (std::chrono::steady_clock).
-class RealClock : public Clock {
- public:
-  Micros Now() const override;
+  Micros Now() const;
 
   // Process-wide singleton (trivially destructible per style rules: returns
   // a reference to a never-deleted instance).
   static RealClock& Instance();
-};
-
-// Manually advanced clock for unit tests.
-class ManualClock : public Clock {
- public:
-  explicit ManualClock(Micros start = 0) : now_(start) {}
-  Micros Now() const override { return now_; }
-  void Advance(Micros delta) { now_ += delta; }
-  void Set(Micros t) { now_ = t; }
-
- private:
-  Micros now_;
 };
 
 }  // namespace threev

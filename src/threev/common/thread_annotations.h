@@ -4,10 +4,9 @@
 // Clang thread-safety-analysis attribute wrappers.
 //
 // The locking rules of the classes that are shared between threads (the
-// coordinator, the policy driver, the cluster's node slots, the client and
-// the transports; DESIGN.md section 6) are machine-checked by compiling
-// with clang and -Wthread-safety (the `thread-safety` CMake preset /
-// THREEV_THREAD_SAFETY option). On GCC - and
+// cluster's node slots, the client and the transports; DESIGN.md section
+// 6) are machine-checked by compiling with clang and -Wthread-safety (the
+// `thread-safety` CMake preset / THREEV_THREAD_SAFETY option). On GCC - and
 // on clang without the flag - every macro expands to nothing, so the
 // annotations cost nothing in the default build.
 //

@@ -20,6 +20,8 @@ AdvanceCoordinator::AdvanceCoordinator(const CoordinatorOptions& options,
       c_matrix_(options.num_nodes * options.num_nodes, 0),
       r_matrix_(options.num_nodes * options.num_nodes, 0) {}
 
+AdvanceCoordinator::~AdvanceCoordinator() { delete auto_next_.load(); }
+
 uint64_t AdvanceCoordinator::WaveSeq(bool r_wave) const {
   // Tags a counter-read wave uniquely within an epoch so stale replies
   // from earlier rounds are discarded.
@@ -290,13 +292,17 @@ void AdvanceCoordinator::OnAdminInspect(const Message& msg) {
   network_->Send(msg.from, std::move(m));
 }
 
-void AdvanceCoordinator::EnableAutoAdvance(Micros period) {
-  auto_period_.store(period, std::memory_order_relaxed);
+void AdvanceCoordinator::EnableAutoAdvance(Micros period,
+                                           std::function<bool()> when) {
+  // Publish the settings before the token, so a tick that sees the token
+  // finds them.
+  delete auto_next_.exchange(new AutoAdvance{period, std::move(when)},
+                             std::memory_order_acq_rel);
   uint64_t disabled = 0;
   const uint64_t token = OwnedTimers::NewToken();
   if (!auto_token_.compare_exchange_strong(disabled, token,
                                            std::memory_order_acq_rel)) {
-    return;  // the running chain picks up the new period
+    return;  // the running chain takes the new settings at its next tick
   }
   network_->ScheduleTimer(options_.id, period, token);
 }
@@ -306,11 +312,17 @@ void AdvanceCoordinator::DisableAutoAdvance() {
 }
 
 void AdvanceCoordinator::AutoTick(uint64_t token) {
+  if (AutoAdvance* next =
+          auto_next_.exchange(nullptr, std::memory_order_acq_rel)) {
+    auto_.reset(next);
+  }
   // The tick already runs on the owner thread, so it begins phase 1 inline
   // when it wins the claim, and skips a tick that would overlap.
-  if (!claimed_.exchange(true, std::memory_order_acq_rel)) BeginAdvancement();
-  network_->ScheduleTimer(options_.id,
-                          auto_period_.load(std::memory_order_relaxed), token);
+  if (!running() && (!auto_->when || auto_->when()) &&
+      !claimed_.exchange(true, std::memory_order_acq_rel)) {
+    BeginAdvancement();
+  }
+  network_->ScheduleTimer(options_.id, auto_->period, token);
 }
 
 }  // namespace threev

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -73,6 +74,8 @@ class AdvanceCoordinator {
   AdvanceCoordinator(const CoordinatorOptions& options, Network* network,
                      Metrics* metrics, HistoryRecorder* history = nullptr);
 
+  ~AdvanceCoordinator();
+
   AdvanceCoordinator(const AdvanceCoordinator&) = delete;
   AdvanceCoordinator& operator=(const AdvanceCoordinator&) = delete;
 
@@ -85,11 +88,19 @@ class AdvanceCoordinator {
   // thread when a zero-delay owned timer arrives there.
   bool StartAdvancement(DoneCallback done = nullptr);
 
-  // Repeatedly advances every `period` (skipping ticks that would overlap
-  // a running advancement). Policy knob from the paper's "desired
-  // solution": advance every hour / after N transactions / on demand.
-  // Enabling while enabled only changes the period.
-  void EnableAutoAdvance(Micros period);
+  // Ticks every `period` on the owner thread. A tick that finds the
+  // coordinator idle evaluates `when` (null means true) and, when it holds,
+  // begins an advancement, unless a StartAdvancement claimed the
+  // coordinator first. These are the paper's "desired solution" triggers
+  // (DESIGN.md section 8): the period alone advances "every hour", a
+  // predicate over Metrics::txns_committed "after N transactions", one over
+  // data values on drift, and StartAdvancement from a transaction's
+  // callback "after a particular transaction". `when` runs on the owner
+  // thread, so it may read only what any thread may (atomics such as the
+  // Metrics counters, Node::vu()/vr()); state it keeps is its own.
+  // Enabling while enabled swaps in the new period and `when` at the
+  // running chain's next tick.
+  void EnableAutoAdvance(Micros period, std::function<bool()> when = nullptr);
   void DisableAutoAdvance();
 
   bool running() const { return claimed_.load(std::memory_order_acquire); }
@@ -102,6 +113,12 @@ class AdvanceCoordinator {
   }
 
  private:
+  // One EnableAutoAdvance call's settings.
+  struct AutoAdvance {
+    Micros period;
+    std::function<bool()> when;
+  };
+
   // In this order in OnAdminInspect's phase names.
   enum class Phase {
     kIdle,
@@ -163,7 +180,12 @@ class AdvanceCoordinator {
   // Token of the live auto-advance chain, fresh per EnableAutoAdvance so
   // an older chain's tick matches nothing; 0 while disabled.
   std::atomic<uint64_t> auto_token_{0};
-  std::atomic<Micros> auto_period_{0};
+  // The latest settings the owner thread has not taken yet. Whichever
+  // thread exchanges a record out of this slot owns it, so no lock guards
+  // the predicate. (Not std::atomic<std::shared_ptr>: libstdc++ 12's load
+  // unlocks with a relaxed fetch_sub, which tsan reports as a race with
+  // the next store.)
+  std::atomic<AutoAdvance*> auto_next_{nullptr};
   // Written only by the owner thread.
   std::atomic<Version> vu_view_{1};
   std::atomic<Version> vr_view_{0};
@@ -173,6 +195,8 @@ class AdvanceCoordinator {
 
   // --- owner thread only ---
   OwnedTimers timers_;
+  // The auto-advance settings taken last (null until the first tick).
+  std::unique_ptr<AutoAdvance> auto_;
   Phase phase_ = Phase::kIdle;
   // One per advancement, tags all messages.
   uint64_t epoch_ = 0;

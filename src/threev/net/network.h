@@ -58,17 +58,18 @@ class Network {
 
   // Runs `fn` after `delay` on a thread of the transport's choosing (the
   // timer thread on ThreadNet/TcpNet), where it may call Send but must not
-  // touch an endpoint's handler-owned state. Used by the advancement
-  // policy, the baselines and test drivers, which guard their own state;
-  // protocol endpoints use ScheduleTimer.
+  // touch an endpoint's handler-owned state. Used only by the
+  // manual-versioning baseline and the test and fuzz drivers, which guard
+  // their own state; protocol endpoints use ScheduleTimer (lint rule
+  // node-owned).
   virtual void ScheduleAfter(Micros delay, std::function<void()> fn) = 0;
 
   // Owned timer: after `delay`, runs `owner`'s handler with
   // TimerMessage(owner, token), on the thread that runs its other messages,
   // so the owner's state stays single-threaded. The owner maps the token to
-  // its callback (core/owner_thread.h). The default sends the message when a ScheduleAfter timer
-  // fires, which is correct on every transport; SimNet and ThreadNet
-  // override it to skip the send path's accounting.
+  // its callback (core/owner_thread.h). The default sends the message when
+  // a ScheduleAfter timer fires, which is correct on every transport;
+  // SimNet and ThreadNet override it to skip the send path's accounting.
   virtual void ScheduleTimer(NodeId owner, Micros delay, uint64_t token);
 
   // Time source: virtual under SimNet, steady-clock otherwise.

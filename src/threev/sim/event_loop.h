@@ -18,13 +18,13 @@ namespace threev {
 // All protocol engines are passive state machines, so an entire multi-node
 // "cluster" runs inside one event loop: perfect for benchmarking message
 // complexity and blocking behaviour on a single-core host.
-class EventLoop : public Clock {
+class EventLoop {
  public:
   EventLoop() = default;
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
-  Micros Now() const override { return now_; }
+  Micros Now() const { return now_; }
 
   // Schedules fn at absolute virtual time `when` (clamped to >= Now()).
   // Returns an id usable with Cancel().

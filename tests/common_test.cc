@@ -1,11 +1,10 @@
 #include <gtest/gtest.h>
 
-#include "threev/common/clock.h"
-#include "threev/common/queue.h"
 #include "threev/common/random.h"
 #include "threev/common/status.h"
 #include "threev/metrics/histogram.h"
 #include "threev/sim/event_loop.h"
+#include "blocking_queue.h"
 
 namespace threev {
 namespace {
@@ -69,15 +68,6 @@ TEST(ZipfTest, ZeroThetaIsRoughlyUniform) {
   std::vector<int> counts(10, 0);
   for (int i = 0; i < 10000; ++i) counts[zipf.Sample(rng)]++;
   for (int c : counts) EXPECT_GT(c, 700);
-}
-
-TEST(ManualClockTest, AdvanceAndSet) {
-  ManualClock clock(100);
-  EXPECT_EQ(clock.Now(), 100);
-  clock.Advance(50);
-  EXPECT_EQ(clock.Now(), 150);
-  clock.Set(10);
-  EXPECT_EQ(clock.Now(), 10);
 }
 
 TEST(BlockingQueueTest, PushPopOrder) {

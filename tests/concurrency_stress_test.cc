@@ -1,8 +1,9 @@
 // Concurrency stress tests: many real threads hammering the primitives that
 // are shared between threads (BlockingQueue, the ThreadNet mailbox,
-// WaitGroup, Histogram, the coordinator's StartAdvancement claim). A
-// node's store, counters and lock table belong to its one thread and are
-// tested single-threaded (storage_test, store_property_test, lock_test).
+// WaitGroup, Histogram, the coordinator's StartAdvancement claim and its
+// auto-advance predicate). A node's store, counters and lock table belong
+// to its one thread and are tested single-threaded (storage_test,
+// store_property_test, lock_test).
 // These exist primarily as tsan fodder - run them under the `tsan` preset
 // to turn latent races into hard failures - but they also assert
 // linearizable end-state invariants (nothing lost, nothing duplicated) so
@@ -16,15 +17,16 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <thread>
 #include <vector>
 
-#include "threev/common/queue.h"
 #include "threev/common/wait_group.h"
 #include "threev/core/cluster.h"
 #include "threev/metrics/histogram.h"
 #include "threev/net/thread_net.h"
+#include "blocking_queue.h"
 
 namespace threev {
 namespace {
@@ -345,6 +347,81 @@ TEST(ConcurrencyStressTest, StartAdvancementRacesAutoAdvance) {
   EXPECT_EQ(metrics.advancements_completed.load(),
             static_cast<int64_t>(coord.completed_count()));
   EXPECT_FALSE(coord.running());
+  EXPECT_EQ(coord.vu(), NextVersion(coord.vr()));
+  for (NodeId n = 0; n < options.num_nodes; ++n) {
+    EXPECT_EQ(cluster.node(n).vu(), NextVersion(cluster.node(n).vr()))
+        << "node " << n;
+    EXPECT_EQ(cluster.node(n).vr(), coord.vr()) << "node " << n;
+  }
+  EXPECT_TRUE(cluster.CheckInvariants().ok());
+}
+
+// The auto-advance predicate runs on the coordinator's thread while the
+// test thread commits transactions and enables, re-enables and disables
+// the chain: each Enable hands the owner thread a new predicate, and
+// neither a predicate nor its state may be touched by two threads.
+TEST(ConcurrencyStressTest, AutoAdvancePredicateRacesEnableDisable) {
+  Metrics metrics;
+  ThreadNet net(ThreadNetOptions{}, &metrics);
+  ClusterOptions options;
+  options.num_nodes = 3;
+  Cluster cluster(options, &net, &metrics);
+  AdvanceCoordinator& coord = cluster.coordinator();
+  net.Start();
+
+  // "After N transactions", with its own baseline per Enable.
+  auto after_commits = [&metrics](int64_t n) -> std::function<bool()> {
+    return [&metrics, n, baseline = metrics.txns_committed.load()]() mutable {
+      const int64_t committed = metrics.txns_committed.load();
+      if (committed - baseline < n) return false;
+      baseline = committed;
+      return true;
+    };
+  };
+  WaitGroup txns;
+  std::atomic<int> not_ok{0};
+  auto submit = [&](int i) {
+    const NodeId a = i % 3, b = (i + 1) % 3;
+    txns.Add(1);
+    cluster.Submit(a,
+                   TxnBuilder(a).Add("x", 1).Child(b, {OpAdd("y", 1)}).Build(),
+                   [&](const TxnResult& r) {
+                     if (!r.status.ok()) not_ok.fetch_add(1);
+                     txns.Done();
+                   });
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  };
+  int i = 0;
+  for (; i < 300; ++i) {
+    if (i % 20 == 0) coord.EnableAutoAdvance(1'000, after_commits(5));
+    if (i % 20 == 7) coord.EnableAutoAdvance(1'000, after_commits(3));
+    if (i % 20 == 14) coord.DisableAutoAdvance();
+    submit(i);
+  }
+  // Then leave the chain on until its predicate has started advancements.
+  coord.EnableAutoAdvance(1'000, after_commits(5));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  for (; coord.completed_count() < 2; ++i) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    submit(i);
+  }
+  ASSERT_TRUE(txns.WaitFor(std::chrono::seconds(30)));
+
+  // Drain: once the chain is off, a won claim finishes after every
+  // advancement a tick began.
+  coord.DisableAutoAdvance();
+  WaitGroup last;
+  last.Add(1);
+  while (!coord.StartAdvancement([&](Status) { last.Done(); })) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  ASSERT_TRUE(last.WaitFor(std::chrono::seconds(30)));
+  net.Stop();
+
+  EXPECT_EQ(not_ok.load(), 0);
+  EXPECT_GE(coord.completed_count(), 3u);
   EXPECT_EQ(coord.vu(), NextVersion(coord.vr()));
   for (NodeId n = 0; n < options.num_nodes; ++n) {
     EXPECT_EQ(cluster.node(n).vu(), NextVersion(cluster.node(n).vr()))

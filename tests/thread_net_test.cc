@@ -6,12 +6,12 @@
 #include <filesystem>
 #include <thread>
 
-#include "threev/common/queue.h"
 #include "threev/common/wait_group.h"
 #include "threev/core/cluster.h"
 #include "threev/net/thread_net.h"
 #include "threev/net/wire.h"
 #include "threev/verify/checker.h"
+#include "blocking_queue.h"
 
 namespace threev {
 namespace {

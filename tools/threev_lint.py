@@ -17,9 +17,9 @@ analysis can express, because they live above the type system:
                      mutex is lexically in scope, in core/ storage/ lock/
                      verify/ baseline/. This is DESIGN.md's "no lock is
                      held across a Send" rule for the classes that keep
-                     locks (the coordinator, the policy driver, the
-                     cluster), machine-checked. Lexical only: calls via
-                     helpers are deliberately out of scope.
+                     locks (the cluster, the history recorder, the
+                     manual-versioning baseline), machine-checked. Lexical only: calls via helpers are
+                     deliberately out of scope.
 
   version-arith      Version variables never take raw +1/+2/-1/-2 literals;
                      protocol code must use the ids.h helpers (NextVersion,
@@ -80,7 +80,10 @@ analysis can express, because they live above the type system:
                      no Mutex, SharedMutex, MutexLock, raw std::mutex
                      family, GUARDED_BY, REQUIRES or EXCLUDES. A lock
                      there would guard state no second thread may touch,
-                     or hide one that does.
+                     or hide one that does. Nor do they call
+                     ScheduleAfter, whose callback runs on the transport's
+                     timer thread: they arm owned timers (ScheduleTimer),
+                     which run on the endpoint's own thread.
 
 Usage:
   tools/threev_lint.py [--root REPO_ROOT]   lint the tree (exit 1 on findings)
@@ -730,6 +733,7 @@ NODE_OWNED_BANNED_RE = re.compile(
     r"\b(?:Mutex|SharedMutex|MutexLock|(?:PT_)?GUARDED_BY|"
     r"REQUIRES(?:_SHARED)?|EXCLUDES)\b|"
     r"\bstd::(?:recursive_|timed_|shared_)?mutex\b")
+NODE_OWNED_TIMER_RE = re.compile(r"\bScheduleAfter\s*\(")
 
 
 def check_node_owned(files):
@@ -744,6 +748,12 @@ def check_node_owned(files):
                 f"`{m.group(0)}` in node-owned code; one thread runs an "
                 "endpoint's handlers and timers, so its state takes no "
                 "locks (DESIGN.md section 6)"))
+        for m in NODE_OWNED_TIMER_RE.finditer(f.code):
+            findings.append(Finding(
+                "node-owned", path, f.line_of(m.start()),
+                "`ScheduleAfter` in node-owned code runs its callback on "
+                "the transport's timer thread; arm an owned timer "
+                "(ScheduleTimer / OwnedTimers::Arm) instead"))
     return findings
 
 
@@ -1205,11 +1215,16 @@ void ThreadNet::Deliver(NodeId to, Message&& msg) {
         _mkfile("src/threev/core/coordinator.cc",
                 "if (claimed_.exchange(true, std::memory_order_acq_rel)) "
                 "return false;\n"
-                "HandlerScope owner(in_handler_, \"coordinator\", id);\n"),
+                "HandlerScope owner(in_handler_, \"coordinator\", id);\n"
+                "network_->ScheduleTimer(options_.id, period, token);\n"),
         # Classes called synchronously from foreign threads keep their locks.
-        _mkfile("src/threev/core/policy.h",
-                "mutable Mutex mu_;\nbool running_ GUARDED_BY(mu_) = false;\n"),
+        _mkfile("src/threev/core/cluster.h",
+                "mutable Mutex mu_;\n"
+                "uint64_t next_seq_ GUARDED_BY(mu_) = 1;\n"),
         _mkfile("src/threev/core/cluster.cc", "MutexLock lock(mu_);\n"),
+        # Outside the owned files, ScheduleAfter stays legal.
+        _mkfile("src/threev/baseline/manual_versioning.cc",
+                "network_->ScheduleAfter(period, [this] { Tick(); });\n"),
     ]
     expect("node-owned code without locks", check_node_owned(owned_clean),
            "node-owned", False)
@@ -1238,6 +1253,14 @@ void ThreadNet::Deliver(NodeId to, Message&& msg) {
         ("src/threev/core/owner_thread.h", "Mutex mu_;\n"),
     ]:
         expect(f"lock in node-owned {path}",
+               check_node_owned([_mkfile(path, text)]), "node-owned", True)
+    for path, text in [
+        ("src/threev/core/coordinator.cc",
+         "network_->ScheduleAfter(options_.check_interval, [this] {\n"),
+        ("src/threev/core/node.cc",
+         "network_->ScheduleAfter (delay, [this] { Retry(); });\n"),
+    ]:
+        expect(f"ScheduleAfter in node-owned {path}",
                check_node_owned([_mkfile(path, text)]), "node-owned", True)
 
     # --- stripping machinery ---------------------------------------------
