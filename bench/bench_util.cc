@@ -81,6 +81,7 @@ RunOutcome RunExperiment(const RunConfig& config) {
   out.bytes_copied = metrics.bytes_copied.load();
   out.advancements = metrics.advancements_completed.load();
   out.quiescence_rounds = metrics.quiescence_rounds.load();
+  out.adv_retransmits = metrics.advancement_retransmits.load();
   out.lock_waits = metrics.lock_waits.load();
   out.gate_waits = metrics.version_gate_waits.load();
   out.compensations = metrics.compensations_sent.load();

@@ -57,6 +57,7 @@ struct RunOutcome {
   int64_t bytes_copied = 0;
   int64_t advancements = 0;
   int64_t quiescence_rounds = 0;
+  int64_t adv_retransmits = 0;  // advancement stage retransmissions
   int64_t lock_waits = 0;
   int64_t gate_waits = 0;
   int64_t compensations = 0;

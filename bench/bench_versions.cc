@@ -14,8 +14,9 @@ int main() {
   PrintHeader(
       "B-3COPIES: max simultaneous versions & dual-writes vs advancement "
       "cadence (3V, 8 nodes)");
-  std::printf("%-10s %12s %12s %14s %12s %10s\n", "period", "max-copies",
-              "dual-writes", "dual/update", "#advance", "anomalies");
+  std::printf("%-10s %12s %12s %14s %12s %10s %16s\n", "period",
+              "max-copies", "dual-writes", "dual/update", "#advance",
+              "anomalies", "adv-retransmits");
 
   for (Micros period : {Micros{50'000}, Micros{10'000}, Micros{5'000},
                         Micros{2'000}, Micros{1'000}}) {
@@ -37,13 +38,14 @@ int main() {
     RunOutcome out = RunExperiment(config);
     double updates =
         static_cast<double>(out.committed) * (1.0 - 0.2) * 2.0;  // ops approx
-    std::printf("%6lldms %12zu %12lld %13.4f%% %12lld %10zu\n",
+    std::printf("%6lldms %12zu %12lld %13.4f%% %12lld %10zu %16lld\n",
                 static_cast<long long>(period / 1000), out.max_versions,
                 static_cast<long long>(out.dual_writes),
                 updates > 0 ? 100.0 * static_cast<double>(out.dual_writes) /
                                   updates
                             : 0.0,
-                static_cast<long long>(out.advancements), out.anomalies);
+                static_cast<long long>(out.advancements), out.anomalies,
+                static_cast<long long>(out.adv_retransmits));
   }
   std::printf(
       "shape: max-copies never exceeds 3 (the paper's bound) even at 1ms\n"

@@ -70,8 +70,6 @@ double Rng::Exponential(double mean) {
   return -mean * std::log(u);
 }
 
-Rng Rng::Fork() { return Rng(Next()); }
-
 ZipfGenerator::ZipfGenerator(uint64_t n, double theta) : n_(n) {
   assert(n > 0);
   cdf_.resize(n);

@@ -30,9 +30,6 @@ class Rng {
   // inter-arrival times and simulated network delays.
   double Exponential(double mean);
 
-  // Forks an independent generator (for per-node streams).
-  Rng Fork();
-
  private:
   uint64_t s_[4];
 };

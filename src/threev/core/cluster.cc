@@ -122,8 +122,8 @@ Cluster::Cluster(const ClusterOptions& options, Network* network,
   coord_options.poll_interval = options.coordinator_poll_interval;
   coord_options.retry_interval = options.coordinator_retry_interval;
   coord_options.tracer = options.tracer;
-  coordinator_ = std::make_unique<AdvanceCoordinator>(coord_options, network,
-                                                      metrics, history);
+  coordinator_ =
+      std::make_unique<AdvanceCoordinator>(coord_options, network, metrics);
   AdvanceCoordinator* coord = coordinator_.get();
   network->RegisterEndpoint(
       coordinator_id(), [coord](const Message& m) { coord->HandleMessage(m); });

@@ -9,12 +9,10 @@
 namespace threev {
 
 AdvanceCoordinator::AdvanceCoordinator(const CoordinatorOptions& options,
-                                       Network* network, Metrics* metrics,
-                                       HistoryRecorder* history)
+                                       Network* network, Metrics* metrics)
     : options_(options),
       network_(network),
       metrics_(metrics),
-      history_(history),
       tracer_(options.tracer),
       timers_(network, options.id),
       c_matrix_(options.num_nodes * options.num_nodes, 0),
@@ -233,8 +231,7 @@ void AdvanceCoordinator::AdvancePhase() {
   if (phase_ == Phase::kPhaseOut) {
     // Version vu_old is consistent across all nodes: expose it to reads.
     phase_ = Phase::kSwitchRead;
-    read_switch_time_ = network_->Now();
-    SwitchPhaseSpan(read_switch_time_, /*ended=*/2, /*started=*/3);
+    SwitchPhaseSpan(network_->Now(), /*ended=*/2, /*started=*/3);
     BeginStage(MsgType::kReadVersionAdvance, NextVersion(vr()),
                /*flag=*/false, epoch_);
   } else if (phase_ == Phase::kDrainReads) {
@@ -258,14 +255,6 @@ void AdvanceCoordinator::FinishAdvancement() {
   if (metrics_ != nullptr) {
     metrics_->advancements_completed.fetch_add(1, std::memory_order_relaxed);
     metrics_->advancement_latency.Record(now - start_time_);
-  }
-  if (history_ != nullptr) {
-    HistoryRecorder::AdvancementRecord rec;
-    rec.new_update_version = vu();
-    rec.start_time = start_time_;
-    rec.read_switch_time = read_switch_time_;
-    rec.end_time = now;
-    history_->RecordAdvancement(rec);
   }
   DoneCallback done = std::exchange(done_, nullptr);
   claimed_.store(false, std::memory_order_release);

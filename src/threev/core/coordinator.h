@@ -15,7 +15,6 @@
 #include "threev/metrics/metrics.h"
 #include "threev/net/network.h"
 #include "threev/trace/trace.h"
-#include "threev/verify/history.h"
 
 namespace threev {
 
@@ -72,7 +71,7 @@ class AdvanceCoordinator {
   using DoneCallback = std::function<void(Status)>;
 
   AdvanceCoordinator(const CoordinatorOptions& options, Network* network,
-                     Metrics* metrics, HistoryRecorder* history = nullptr);
+                     Metrics* metrics);
 
   ~AdvanceCoordinator();
 
@@ -165,7 +164,6 @@ class AdvanceCoordinator {
   CoordinatorOptions options_;
   Network* network_;
   Metrics* metrics_;
-  HistoryRecorder* history_;
   Tracer* tracer_;  // unowned, may be null (tracing disabled)
 
   // --- shared with other threads ---
@@ -226,7 +224,6 @@ class AdvanceCoordinator {
   std::vector<int64_t> c_matrix_;
   std::vector<int64_t> r_matrix_;
   Micros start_time_ = 0;
-  Micros read_switch_time_ = 0;
   // Spans of the running advancement / its current phase (invalid when
   // idle or tracing is off).
   TraceContext adv_trace_;

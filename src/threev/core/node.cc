@@ -158,7 +158,11 @@ void Node::LogRecord(const WalRecord& rec, bool force) {
 }
 
 bool Node::CommitLog() {
-  if (halted()) return false;
+  if (halted()) {
+    // A halted node is crashed, and its staged frames die with it.
+    wal_->DiscardStaged();
+    return false;
+  }
   Status s = wal_->Commit();
   if (!s.ok()) HaltOnLogFailure(s);
   return s.ok();

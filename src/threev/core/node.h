@@ -300,7 +300,8 @@ class Node {
   // halted); `force` commits it at once. A failed log halts the node.
   void LogRecord(const WalRecord& rec, bool force = false);
   // Commits the staged frames; on failure halts the node and returns false.
-  // A halted node commits nothing and returns false. Requires durability on.
+  // A halted node discards the staged frames instead and returns false.
+  // Requires durability on.
   bool CommitLog();
   void HaltOnLogFailure(const Status& s);
   // Counter-delta record for IncR/IncC (the only non-idempotent records).

@@ -317,6 +317,11 @@ Status WriteAheadLog::Commit() {
   return Status::Ok();
 }
 
+void WriteAheadLog::DiscardStaged() {
+  segment_size_ -= batch_.size();
+  batch_.clear();
+}
+
 Status WriteAheadLog::RotateSegment() {
   Status s = Commit();
   if (!s.ok()) return s;

@@ -116,8 +116,8 @@ struct WalOptions {
 // that depends on them: Node commits before every message it sends and at
 // the end of every handler and timer callback (DESIGN.md section 9). A
 // failed write is fail-stop: the batch is dropped, and every later Append
-// or Commit returns the same error. Not thread-safe: the owning Node
-// serializes staging and commits under its own mutex.
+// or Commit returns the same error. Not thread-safe: only the owning
+// Node's thread stages and commits.
 class WriteAheadLog {
  public:
   // Creates `options.dir` if needed and starts a segment after the highest
@@ -138,6 +138,10 @@ class WriteAheadLog {
   // Writes every staged frame with one write(2), then fsyncs under
   // kEveryRecord. No-op when nothing is staged.
   Status Commit();
+
+  // Drops every staged frame unwritten, as a process crash would. A halted
+  // node's log calls this so that its destructor commits nothing.
+  void DiscardStaged();
 
   // Commits, then closes the current segment and starts the next one
   // (checkpoint entry).

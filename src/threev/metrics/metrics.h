@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "threev/metrics/histogram.h"
@@ -19,6 +20,13 @@ namespace threev {
 // external quiescence. The dual_version_writes / version copies
 // counters back the paper's "at most three versions / copy once per
 // advancement" claims (experiments B-3COPIES, B-ABLATE-COW).
+//
+// Every instrument also has one row in kMetricsCounters or
+// kMetricsHistograms (below), which Reset(), MergeFrom(), Report() and the
+// Prometheus exporter loop over; tools/threev_lint.py checks that each
+// field has exactly one row. Adding an instrument is the field plus its
+// row. Keep the fields' order: their layout alone moves wall-clock
+// throughput, so new fields go last (DESIGN.md section 12).
 struct Metrics {
   // Traffic.
   std::atomic<int64_t> messages_sent{0};
@@ -98,6 +106,27 @@ struct Metrics {
   // Multi-line human-readable dump.
   std::string Report() const;
 };
+
+// One row per atomic counter: the Prometheus sample is
+// `threev_<name>_total`, and Report() prints ` <label>=<value>` on the line
+// `<section>:`. Rows of one section are adjacent, in Report()'s order.
+struct MetricsCounter {
+  std::atomic<int64_t> Metrics::*field;
+  const char* name;
+  const char* section;
+  const char* label;
+};
+
+// One row per histogram: the Prometheus summary is `threev_<name>_us`, and
+// Report() prints it on its own line as `<label>: <Summary()>`.
+struct MetricsHistogram {
+  Histogram Metrics::*field;
+  const char* name;
+  const char* label;
+};
+
+extern const std::span<const MetricsCounter> kMetricsCounters;
+extern const std::span<const MetricsHistogram> kMetricsHistograms;
 
 }  // namespace threev
 

@@ -4,16 +4,15 @@
 #include <string>
 #include <vector>
 
-#include "threev/metrics/histogram.h"
 #include "threev/metrics/metrics.h"
 
 namespace threev {
 
 // Renders one Metrics snapshot in the Prometheus text exposition format
-// (version 0.0.4): every atomic counter as `threev_<name>_total`, every
-// latency histogram as a summary (p50/p90/p99 quantiles + _sum + _count).
-// tools/threev_lint.py enforces that every std::atomic field of Metrics is
-// mentioned here AND in Metrics::Report(), so a new counter cannot ship
+// (version 0.0.4): every row of kMetricsCounters as `threev_<name>_total`,
+// every row of kMetricsHistograms as a summary (p50/p90/p99 quantiles +
+// _sum + _count), in table order. tools/threev_lint.py checks that every
+// instrument of Metrics has its table row, so a new counter cannot ship
 // half-observable. `labels` is spliced verbatim into each sample's label
 // set (e.g. "node=\"3\""); pass "" for none.
 std::string PrometheusText(const Metrics& m, const std::string& labels = "");
@@ -22,10 +21,6 @@ std::string PrometheusText(const Metrics& m, const std::string& labels = "");
 // (counters summed, histograms bucket-merged) and renders that. Callers
 // must quiesce writers first, same contract as Metrics::MergeFrom().
 std::string PrometheusTextAggregate(const std::vector<const Metrics*>& nodes);
-
-// One summary-typed metric from a histogram; exposed for reuse by tests.
-void AppendHistogramSummary(std::string* out, const std::string& name,
-                            const Histogram& h, const std::string& labels);
 
 }  // namespace threev
 

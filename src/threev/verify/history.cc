@@ -23,12 +23,6 @@ void HistoryRecorder::RecordComplete(
   rec.committed = committed;
   rec.version = version;
   rec.reads = reads;
-  ++completed_;
-}
-
-void HistoryRecorder::RecordAdvancement(const AdvancementRecord& rec) {
-  MutexLock lock(mu_);
-  advancements_.push_back(rec);
 }
 
 std::vector<HistoryRecorder::TxnRecord> HistoryRecorder::Transactions()
@@ -38,24 +32,6 @@ std::vector<HistoryRecorder::TxnRecord> HistoryRecorder::Transactions()
   out.reserve(txns_.size());
   for (const auto& [id, rec] : txns_) out.push_back(rec);
   return out;
-}
-
-std::vector<HistoryRecorder::AdvancementRecord>
-HistoryRecorder::Advancements() const {
-  MutexLock lock(mu_);
-  return advancements_;
-}
-
-size_t HistoryRecorder::CompletedCount() const {
-  MutexLock lock(mu_);
-  return completed_;
-}
-
-void HistoryRecorder::Clear() {
-  MutexLock lock(mu_);
-  txns_.clear();
-  advancements_.clear();
-  completed_ = 0;
 }
 
 }  // namespace threev

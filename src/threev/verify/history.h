@@ -31,31 +31,17 @@ class HistoryRecorder {
     std::map<std::string, Value> reads;  // what kGet ops observed
   };
 
-  struct AdvancementRecord {
-    Version new_update_version = 0;
-    Micros start_time = 0;
-    Micros read_switch_time = 0;  // when phase 3 was initiated
-    Micros end_time = 0;
-  };
-
   void RecordSubmit(TxnId id, const TxnSpec& spec, Micros now) EXCLUDES(mu_);
   void RecordComplete(TxnId id, bool committed, Version version,
                       const std::map<std::string, Value>& reads, Micros now)
       EXCLUDES(mu_);
-  void RecordAdvancement(const AdvancementRecord& rec) EXCLUDES(mu_);
 
-  // Snapshot accessors (copy under lock; used after a run settles).
+  // Snapshot accessor (copies under lock; used after a run settles).
   std::vector<TxnRecord> Transactions() const EXCLUDES(mu_);
-  std::vector<AdvancementRecord> Advancements() const EXCLUDES(mu_);
-  size_t CompletedCount() const EXCLUDES(mu_);
-
-  void Clear() EXCLUDES(mu_);
 
  private:
   mutable Mutex mu_;
   std::map<TxnId, TxnRecord> txns_ GUARDED_BY(mu_);
-  std::vector<AdvancementRecord> advancements_ GUARDED_BY(mu_);
-  size_t completed_ GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace threev

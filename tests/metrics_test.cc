@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <sstream>
 #include <thread>
+
+#include "threev/trace/prometheus.h"
 
 namespace threev {
 namespace {
@@ -111,6 +115,172 @@ TEST(MetricsTest, MergeFromAggregatesCountersAndHistograms) {
   // b is untouched.
   EXPECT_EQ(b.txns_committed.load(), 4);
   EXPECT_EQ(b.update_latency.count(), 1);
+}
+
+// Adds `base` + i + 1 to counter row i and records into row j's histogram
+// j + 1 times, so every instrument of a fresh Metrics holds a value no
+// other one does. Filling one instance twice gives the sum of two fills.
+void FillEveryRow(Metrics* m, int64_t base) {
+  int64_t i = 0;
+  for (const MetricsCounter& c : kMetricsCounters) {
+    (m->*c.field).fetch_add(base + ++i);
+  }
+  int64_t j = 0;
+  for (const MetricsHistogram& h : kMetricsHistograms) {
+    ++j;
+    for (int64_t k = 0; k < j; ++k) (m->*h.field).Record(base + 10 * j + k);
+  }
+}
+
+std::vector<std::string> Lines(const std::string& text) {
+  std::vector<std::string> out;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) out.push_back(line);
+  return out;
+}
+
+size_t CountLine(const std::vector<std::string>& lines,
+                 const std::string& want) {
+  size_t n = 0;
+  for (const std::string& line : lines) n += line == want ? 1 : 0;
+  return n;
+}
+
+TEST(MetricsTableTest, RowsNameDistinctInstruments) {
+  std::set<std::string> names;
+  std::set<std::pair<std::string, std::string>> labels;
+  for (const MetricsCounter& c : kMetricsCounters) {
+    EXPECT_TRUE(names.insert(c.name).second) << c.name;
+    EXPECT_TRUE(labels.emplace(c.section, c.label).second) << c.label;
+  }
+  for (const MetricsHistogram& h : kMetricsHistograms) {
+    EXPECT_TRUE(names.insert(h.name).second) << h.name;
+    EXPECT_TRUE(labels.emplace("", h.label).second) << h.label;
+  }
+  // Distinct fields: a value stored through one row shows through no other.
+  Metrics m;
+  FillEveryRow(&m, 0);
+  std::set<int64_t> values;
+  for (const MetricsCounter& c : kMetricsCounters) {
+    EXPECT_TRUE(values.insert((m.*c.field).load()).second) << c.name;
+  }
+  std::set<int64_t> counts;
+  for (const MetricsHistogram& h : kMetricsHistograms) {
+    EXPECT_TRUE(counts.insert((m.*h.field).count()).second) << h.name;
+  }
+}
+
+TEST(MetricsTableTest, ResetZeroesEveryRow) {
+  Metrics m;
+  FillEveryRow(&m, 100);
+  m.Reset();
+  for (const MetricsCounter& c : kMetricsCounters) {
+    EXPECT_EQ((m.*c.field).load(), 0) << c.name;
+  }
+  for (const MetricsHistogram& h : kMetricsHistograms) {
+    EXPECT_EQ((m.*h.field).count(), 0) << h.name;
+    EXPECT_EQ((m.*h.field).sum(), 0) << h.name;
+  }
+}
+
+TEST(MetricsTableTest, MergeFromSumsEveryRow) {
+  Metrics a, b;
+  FillEveryRow(&a, 100);
+  FillEveryRow(&b, 2000);
+  a.MergeFrom(b);
+  Metrics sum;
+  FillEveryRow(&sum, 100);
+  FillEveryRow(&sum, 2000);
+  for (const MetricsCounter& c : kMetricsCounters) {
+    EXPECT_EQ((a.*c.field).load(), (sum.*c.field).load()) << c.name;
+  }
+  for (const MetricsHistogram& h : kMetricsHistograms) {
+    EXPECT_EQ((a.*h.field).count(), (sum.*h.field).count()) << h.name;
+    EXPECT_EQ((a.*h.field).sum(), (sum.*h.field).sum()) << h.name;
+    EXPECT_EQ((a.*h.field).max(), (sum.*h.field).max()) << h.name;
+  }
+}
+
+TEST(MetricsTableTest, ReportShowsEveryRowWithItsValue) {
+  Metrics m;
+  FillEveryRow(&m, 100);
+  const std::vector<std::string> lines = Lines(m.Report());
+  for (const MetricsCounter& c : kMetricsCounters) {
+    const std::string head = std::string(c.section) + ":";
+    const std::string item =
+        " " + std::string(c.label) + "=" + std::to_string((m.*c.field).load());
+    size_t hits = 0;
+    for (const std::string& line : lines) {
+      if (line.rfind(head, 0) != 0) continue;
+      // Match whole items only: " x=1" must not match " x=12".
+      const std::string padded = line + " ";
+      hits += padded.find(item + " ") != std::string::npos ? 1 : 0;
+    }
+    EXPECT_EQ(hits, 1u) << c.section << " " << c.label;
+  }
+  for (const MetricsHistogram& h : kMetricsHistograms) {
+    const std::string head = std::string(h.label) + ":";
+    size_t hits = 0;
+    for (const std::string& line : lines) {
+      if (line.rfind(head, 0) == 0 &&
+          line.find((m.*h.field).Summary()) != std::string::npos) {
+        ++hits;
+      }
+    }
+    EXPECT_EQ(hits, 1u) << h.label;
+  }
+}
+
+TEST(MetricsTableTest, PrometheusTextHasOneSamplePerCounterAndOneSummary) {
+  Metrics m;
+  FillEveryRow(&m, 100);
+  for (const std::string labels : {"", "node=\"3\""}) {
+    const std::vector<std::string> lines = Lines(PrometheusText(m, labels));
+    const std::string set = labels.empty() ? "" : "{" + labels + "}";
+    size_t types = 0;
+    for (const std::string& line : lines) {
+      types += line.rfind("# TYPE ", 0) == 0 ? 1 : 0;
+    }
+    EXPECT_EQ(types, kMetricsCounters.size() + kMetricsHistograms.size());
+    for (const MetricsCounter& c : kMetricsCounters) {
+      const std::string full = "threev_" + std::string(c.name) + "_total";
+      EXPECT_EQ(CountLine(lines, "# TYPE " + full + " counter"), 1u) << full;
+      EXPECT_EQ(CountLine(lines, full + set + " " +
+                                     std::to_string((m.*c.field).load())),
+                1u)
+          << full;
+    }
+    for (const MetricsHistogram& h : kMetricsHistograms) {
+      const std::string full = "threev_" + std::string(h.name) + "_us";
+      const Histogram& hist = m.*h.field;
+      EXPECT_EQ(CountLine(lines, "# TYPE " + full + " summary"), 1u) << full;
+      EXPECT_EQ(CountLine(lines, full + "_sum" + set + " " +
+                                     std::to_string(hist.sum())),
+                1u)
+          << full;
+      EXPECT_EQ(CountLine(lines, full + "_count" + set + " " +
+                                     std::to_string(hist.count())),
+                1u)
+          << full;
+      size_t quantiles = 0;
+      for (const std::string& line : lines) {
+        quantiles += line.rfind(full + "{", 0) == 0 &&
+                             line.find("quantile=") != std::string::npos
+                         ? 1
+                         : 0;
+      }
+      EXPECT_EQ(quantiles, 3u) << full;
+    }
+  }
+}
+
+TEST(MetricsTableTest, PrometheusTextAggregateEqualsTheSum) {
+  Metrics a, b, sum;
+  FillEveryRow(&a, 100);
+  FillEveryRow(&b, 2000);
+  FillEveryRow(&sum, 100);
+  FillEveryRow(&sum, 2000);
+  EXPECT_EQ(PrometheusTextAggregate({&a, nullptr, &b}), PrometheusText(sum));
 }
 
 TEST(HistogramPropertyTest, PercentileWithinBucketError) {

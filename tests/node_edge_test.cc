@@ -1,9 +1,10 @@
 // Edge cases of the node engine: routing validation, empty plans, wide and
-// deep trees, the phase-3 read race, message robustness, and the
-// owner-thread check.
+// deep trees, the phase-3 read race, message robustness, the owner-thread
+// check, and what a node halted mid-handler still sends and logs.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <thread>
 
 #include "threev/core/cluster.h"
@@ -244,6 +245,67 @@ TEST(NodeEdgeTest, HaltMidHandlerDropsTheRestOfItsSends) {
   net.release.store(true);
   handler.join();
   EXPECT_EQ(net.sends.load(), 1);
+}
+
+// A ParkingNet whose clock also parks: the `park_at`-th call of Now()
+// (counted from 1) waits for `release`, holding the handler between two
+// steps.
+class ClockParkingNet : public ParkingNet {
+ public:
+  Micros Now() const override {
+    if (calls.fetch_add(1) + 1 == park_at.load()) {
+      in_now.store(true);
+      while (!release.load()) std::this_thread::yield();
+    }
+    return 0;
+  }
+
+  mutable std::atomic<int> calls{0};
+  std::atomic<int> park_at{0};
+  mutable std::atomic<bool> in_now{false};
+};
+
+// A node halted while its handler runs on another thread drops the WAL
+// frames that handler staged: a dead incarnation writes nothing more, not
+// even from its log's destructor, where the frames could land in its old
+// segment after a restarted incarnation opened a newer one.
+TEST(NodeEdgeTest, HaltMidHandlerDropsItsStagedLogFrames) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "threev_halt_staged_wal";
+  std::filesystem::remove_all(dir);
+  ClockParkingNet net;
+  Metrics metrics;
+  NodeOptions node_options;
+  node_options.num_nodes = 1;
+  node_options.mode = NodeMode::kNC3V;
+  node_options.wal_dir = dir.string();
+  const TxnSpec spec = TxnBuilder(0).Put("k", "v").Build();
+  ASSERT_EQ(spec.klass, TxnClass::kNonCommuting);
+  Message submit;
+  submit.type = MsgType::kClientSubmit;
+  submit.from = 1;
+  submit.seq = 1;
+  submit.klass = static_cast<uint8_t>(spec.klass);
+  submit.plan = spec.root;
+  {
+    Node node(node_options, &net, &metrics);
+    // The submission reads the clock once for its submit time; the root
+    // then stages its kCounter R frame, and ProceedNonCommuting reads the
+    // clock again: park there.
+    net.park_at.store(net.calls.load() + 2);
+    std::thread handler([&] { node.HandleMessage(submit); });
+    while (!net.in_now.load()) std::this_thread::yield();
+    node.Halt();
+    net.release.store(true);
+    handler.join();
+  }
+  Result<std::vector<WalRecord>> records =
+      WriteAheadLog::ReadAll(dir.string(), 0);
+  ASSERT_TRUE(records.ok()) << records.status().ToString();
+  for (const WalRecord& rec : *records) {
+    EXPECT_NE(rec.type, WalRecordType::kCounter) << rec.ToString();
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // One thread owns a node: a second thread entering HandleMessage while the

@@ -46,13 +46,14 @@ analysis can express, because they live above the type system:
 
   metrics-observability
                      Every field of Metrics (atomic counter or Histogram)
-                     is surfaced by BOTH Metrics::Report() (metrics.cc) and
-                     the Prometheus exporter (trace/prometheus.cc). A
-                     counter that is bumped but never exported is invisible
-                     exactly when someone needs it; checking the function
-                     bodies (not the whole files - Reset() and MergeFrom()
-                     also name every field) keeps the two surfaces from
-                     silently drifting as fields are added.
+                     has exactly one row in the instrument tables in
+                     metrics.cc (kMetricsCounters, kMetricsHistograms).
+                     Reset(), MergeFrom(), Report() and the Prometheus
+                     exporter loop over those tables, so the row is the
+                     one place a new field can be forgotten: a counter
+                     that is bumped but never exported is invisible
+                     exactly when someone needs it, and a shard merge
+                     that skips it under-counts silently.
 
   message-fields     Every data member of struct Message (net/message.h) is
                      written by EncodeMessageTo, read back by DecodeMessage
@@ -477,12 +478,9 @@ def check_analysis_optout(files):
 # ---------------------------------------------------------------------------
 
 METRICS_DECL = "src/threev/metrics/metrics.h"
-METRICS_SURFACES = [
-    # (display label, file, function whose body must mention every field)
-    ("Report()", "src/threev/metrics/metrics.cc", "Metrics::Report"),
-    ("the Prometheus exporter", "src/threev/trace/prometheus.cc",
-     "PrometheusText"),
-]
+# Holds kMetricsCounters / kMetricsHistograms, the one table per kind that
+# Reset(), MergeFrom(), Report() and the Prometheus exporter loop over.
+METRICS_TABLE = "src/threev/metrics/metrics.cc"
 
 
 def parse_metrics_fields(code):
@@ -517,8 +515,7 @@ def function_body_span(code, name):
 
 def extract_function_body(code, name):
     """Returns the brace-enclosed body of the first definition of `name`,
-    or None. Body extraction matters: Reset()/MergeFrom() in the same file
-    also name every field, so whole-file search would never fire."""
+    or None."""
     span = function_body_span(code, name)
     return None if span is None else code[span[0]:span[1]]
 
@@ -535,21 +532,24 @@ def check_metrics_observability(files):
             "metrics-observability", METRICS_DECL, 1,
             "could not parse the Metrics struct's fields"))
         return findings
-    for label, path, fn in METRICS_SURFACES:
-        impl = paths.get(path)
-        body = extract_function_body(impl.code, fn) if impl else None
-        if body is None:
+    table = paths.get(METRICS_TABLE)
+    rows = {}
+    if table is not None:
+        for m in re.finditer(r"&\s*Metrics::(\w+)", table.code):
+            rows.setdefault(m.group(1), []).append(table.line_of(m.start()))
+    for field in fields:
+        lines = rows.get(field, [])
+        if not lines:
             findings.append(Finding(
-                "metrics-observability", path, 1,
-                f"could not locate the body of {fn}"))
-            continue
-        for field in fields:
-            if re.search(r"\b" + field + r"\b", body) is None:
-                findings.append(Finding(
-                    "metrics-observability", path, 1,
-                    f"Metrics::{field} is not surfaced by {label}; a counter "
-                    "that is recorded but never exported is invisible "
-                    "exactly when someone needs it"))
+                "metrics-observability", METRICS_TABLE, 1,
+                f"Metrics::{field} has no row in kMetricsCounters or "
+                "kMetricsHistograms, so Reset(), MergeFrom(), Report() and "
+                "the Prometheus exporter all skip it"))
+        elif len(lines) > 1:
+            findings.append(Finding(
+                "metrics-observability", METRICS_TABLE, lines[1],
+                f"Metrics::{field} has {len(lines)} table rows; one is "
+                "needed, or every surface counts it twice"))
     return findings
 
 
@@ -985,51 +985,62 @@ void ThreadNet::TimerLoop() {
         "  std::atomic<int64_t> txns_committed{0};\n"
         "  std::atomic<int64_t> lock_waits{0};\n"
         "  Histogram update_latency;\n"
+        "  void Reset();\n"
+        "};\n"
+        "struct MetricsCounter {\n"
+        "  std::atomic<int64_t> Metrics::*field;\n"
         "};\n")
-    # Reset() names every field too - only Report()'s own body may satisfy
-    # the rule, proving the brace extraction works.
     metrics_cc_ok = _mkfile(
         "src/threev/metrics/metrics.cc",
+        "constexpr MetricsCounter kCounters[] = {\n"
+        "    {&Metrics::txns_committed, \"txns_committed\", \"txns\", \"c\"},\n"
+        "    {&Metrics::lock_waits, \"lock_waits\", \"blocking\", \"w\"},\n"
+        "};\n"
+        "constexpr MetricsHistogram kHistograms[] = {\n"
+        "    {&Metrics::update_latency, \"update_latency\", \"u\"},\n"
+        "};\n"
         "void Metrics::Reset() {\n"
-        "  txns_committed = 0;\n  lock_waits = 0;\n  update_latency.Reset();\n"
-        "}\n"
-        "std::string Metrics::Report() const {\n"
-        "  os << txns_committed.load() << lock_waits.load()\n"
-        "     << update_latency.Summary();\n"
+        "  for (const MetricsCounter& c : kMetricsCounters) this->*c.field = 0;\n"
         "}\n")
-    prom_cc_ok = _mkfile(
-        "src/threev/trace/prometheus.cc",
-        "std::string PrometheusText(const Metrics& m) {\n"
-        "  AppendCounter(&out, \"txns_committed\", m.txns_committed.load());\n"
-        "  AppendCounter(&out, \"lock_waits\", m.lock_waits.load());\n"
-        "  AppendHistogramSummary(&out, \"update_latency\", m.update_latency);\n"
-        "  return out;\n"
-        "}\n")
-    expect("metrics surfaced everywhere",
-           check_metrics_observability([metrics_h, metrics_cc_ok, prom_cc_ok]),
+    expect("metrics table complete",
+           check_metrics_observability([metrics_h, metrics_cc_ok]),
            "metrics-observability", False)
-    # Seed: lock_waits vanishes from Report() (but stays in Reset()).
-    metrics_cc_bad = _mkfile(
+    # Seed: lock_waits has no row (a comment naming it does not count).
+    metrics_cc_missing = _mkfile(
         "src/threev/metrics/metrics.cc",
-        "void Metrics::Reset() {\n"
-        "  txns_committed = 0;\n  lock_waits = 0;\n  update_latency.Reset();\n"
-        "}\n"
-        "std::string Metrics::Report() const {\n"
-        "  os << txns_committed.load() << update_latency.Summary();\n"
-        "}\n")
-    expect("metrics counter missing from Report",
-           check_metrics_observability([metrics_h, metrics_cc_bad, prom_cc_ok]),
+        "constexpr MetricsCounter kCounters[] = {\n"
+        "    {&Metrics::txns_committed, \"txns_committed\", \"txns\", \"c\"},\n"
+        "    // {&Metrics::lock_waits, \"lock_waits\", \"blocking\", \"w\"},\n"
+        "};\n"
+        "constexpr MetricsHistogram kHistograms[] = {\n"
+        "    {&Metrics::update_latency, \"update_latency\", \"u\"},\n"
+        "};\n")
+    expect("metrics counter without a row",
+           check_metrics_observability([metrics_h, metrics_cc_missing]),
            "metrics-observability", True)
-    # Seed: the histogram vanishes from the Prometheus exporter.
-    prom_cc_bad = _mkfile(
-        "src/threev/trace/prometheus.cc",
-        "std::string PrometheusText(const Metrics& m) {\n"
-        "  AppendCounter(&out, \"txns_committed\", m.txns_committed.load());\n"
-        "  AppendCounter(&out, \"lock_waits\", m.lock_waits.load());\n"
-        "  return out;\n"
-        "}\n")
-    expect("metrics histogram missing from exporter",
-           check_metrics_observability([metrics_h, metrics_cc_ok, prom_cc_bad]),
+    # Seed: the histogram has no row.
+    metrics_cc_no_hist = _mkfile(
+        "src/threev/metrics/metrics.cc",
+        "constexpr MetricsCounter kCounters[] = {\n"
+        "    {&Metrics::txns_committed, \"txns_committed\", \"txns\", \"c\"},\n"
+        "    {&Metrics::lock_waits, \"lock_waits\", \"blocking\", \"w\"},\n"
+        "};\n")
+    expect("metrics histogram without a row",
+           check_metrics_observability([metrics_h, metrics_cc_no_hist]),
+           "metrics-observability", True)
+    # Seed: lock_waits has two rows.
+    metrics_cc_twice = _mkfile(
+        "src/threev/metrics/metrics.cc",
+        "constexpr MetricsCounter kCounters[] = {\n"
+        "    {&Metrics::txns_committed, \"txns_committed\", \"txns\", \"c\"},\n"
+        "    {&Metrics::lock_waits, \"lock_waits\", \"blocking\", \"w\"},\n"
+        "    {&Metrics::lock_waits, \"lock_waits2\", \"blocking\", \"w2\"},\n"
+        "};\n"
+        "constexpr MetricsHistogram kHistograms[] = {\n"
+        "    {&Metrics::update_latency, \"update_latency\", \"u\"},\n"
+        "};\n")
+    expect("metrics counter with two rows",
+           check_metrics_observability([metrics_h, metrics_cc_twice]),
            "metrics-observability", True)
 
     # --- message fields ---------------------------------------------------
