@@ -359,5 +359,88 @@ TEST(CrashRecoveryTest, CrashedRootPresumesAbort) {
   EXPECT_TRUE(check.ok()) << check.Summary();
 }
 
+// NC3V root crash after its logged commit decision went out: the restarted
+// root re-drives the commit as an ordinary 2PC round. Its own decision
+// message died with it, so the root itself - a participant - resolves only
+// through the re-driven round; the first re-driven decision to node 2 is
+// dropped, so the round finishes only through the retry timer.
+TEST(CrashRecoveryTest, CrashedRootRedrivesLoggedCommit) {
+  Metrics metrics;
+  HistoryRecorder history;
+  SimNet net(SimNetOptions{.seed = 37, .min_delay = 100,
+                           .mean_extra_delay = 200},
+             &metrics);
+  ClusterOptions options;
+  options.num_nodes = 3;
+  options.mode = NodeMode::kNC3V;
+  options.wal_dir = TestDir("crash_2pc_root_commit");
+  options.coordinator_poll_interval = 1'000;
+  options.coordinator_retry_interval = 5'000;
+  options.twopc_retry_interval = 10'000;
+  Cluster cluster(options, &net, &metrics, &history);
+  fuzz::FaultPlan faults(&net, &cluster);
+
+  // Kill the ROOT (node 0) at the instant its commit decision reaches
+  // node 1.
+  size_t cp = faults.Arm({.at_type = MsgType::kDecision, .victim = 0,
+                          .nth = 1, .downtime = 20'000,
+                          .trigger_node = 1});
+  bool dropped = false;
+  net.SetFaultInjector([&](NodeId to, const Message& msg) {
+    SimNet::FaultDecision d;
+    if (faults.Fired(cp) && !dropped && msg.type == MsgType::kDecision &&
+        msg.from == 0 && to == 2) {
+      d.drop = dropped = true;
+    }
+    return d;
+  });
+
+  bool orphan_result = false;
+  cluster.Submit(0,
+                 TxnBuilder(0)
+                     .Put("doc", "v1")
+                     .Child(1, {OpPut("doc", "v1")})
+                     .Child(2, {OpPut("doc", "v1")})
+                     .Build(),
+                 [&orphan_result](const TxnResult&) { orphan_result = true; });
+  ASSERT_TRUE(fuzz::RunUntilDeadline(
+      net.loop(), net.Now() + 1'000'000, [&] {
+        return dropped && metrics.twopc_retransmits.load() > 0;
+      }));
+  net.loop().RunFor(50'000);
+  EXPECT_TRUE(faults.Fired(cp));
+  ASSERT_TRUE(cluster.node_alive(0));
+  EXPECT_FALSE(orphan_result)
+      << "a restarted root has no client to answer";
+
+  // Every participant committed and released its locks.
+  for (size_t n = 0; n < 3; ++n) {
+    Result<Value> v = cluster.node(n).store().Read("doc", 1);
+    ASSERT_TRUE(v.ok()) << "node " << n;
+    EXPECT_EQ(v->str, "v1") << "node " << n;
+    EXPECT_EQ(cluster.node(n).locks().HeldCount(), 0u) << "node " << n;
+  }
+
+  bool done = false;
+  cluster.Submit(2,
+                 TxnBuilder(2)
+                     .Put("doc", "v2")
+                     .Child(0, {OpPut("doc", "v2")})
+                     .Child(1, {OpPut("doc", "v2")})
+                     .Build(),
+                 [&done](const TxnResult& r) {
+                   EXPECT_TRUE(r.status.ok()) << r.status.ToString();
+                   done = true;
+                 });
+  net.loop().RunUntil([&] { return done; });
+
+  // The re-driven commit applied its deferred completions: quiescence is
+  // still detectable.
+  EXPECT_TRUE(fuzz::DriveAdvancement(net, cluster).ok());
+  ASSERT_TRUE(cluster.CheckInvariants().ok());
+  CheckResult check = CheckHistory(history.Transactions(), CheckerOptions{});
+  EXPECT_TRUE(check.ok()) << check.Summary();
+}
+
 }  // namespace
 }  // namespace threev

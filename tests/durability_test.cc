@@ -7,6 +7,8 @@
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
+#include <string>
+#include <vector>
 
 #include "threev/core/cluster.h"
 #include "threev/core/counters.h"
@@ -77,6 +79,99 @@ TEST(WalCodecTest, RecordRoundTripsAllFields) {
   EXPECT_EQ(back->images[0], rec.images[0]);
   ASSERT_EQ(back->undo.size(), 1u);
   EXPECT_EQ(back->undo[0].prior.num, 1);
+}
+
+// Lowercase hex of `bytes`, for comparing against a pinned encoding.
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (uint8_t b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xf]);
+  }
+  return out;
+}
+
+Value PinValue(int64_t num, std::vector<uint64_t> ids, std::string str) {
+  Value v;
+  v.num = num;
+  v.ids = std::move(ids);
+  v.str = std::move(str);
+  return v;
+}
+
+// The on-disk formats are pinned byte for byte: a round trip cannot see a
+// change made to the encoder and the decoder together, and such a change
+// makes every existing log and checkpoint unreadable.
+TEST(WalCodecTest, UpdateRecordBytesArePinned) {
+  WalRecord rec;
+  rec.type = WalRecordType::kUpdate;
+  rec.version = 3;
+  rec.txn = (uint64_t{2} << 40) | 17;
+  rec.images.push_back(
+      WalImage{"acct@1", 3, PinValue(-1234, {7, uint64_t{1} << 33}, "memo")});
+  rec.images.push_back(WalImage{"acct@1", 4, PinValue(5, {}, "")});
+  EXPECT_EQ(Hex(EncodeWalRecord(rec)),
+            "0103000000000000000011000000000200000000000000000000000200000006"
+            "000000616363744031030000002efbffffffffffff0200000007000000000000"
+            "000000000002000000040000006d656d6f060000006163637440310400000005"
+            "00000000000000000000000000000000000000");
+}
+
+TEST(WalCodecTest, NcExecuteRecordBytesArePinned) {
+  WalRecord rec;
+  rec.type = WalRecordType::kNcExecute;
+  rec.version = 2;
+  rec.peer = 1;
+  rec.txn = (uint64_t{1} << 40) | 9;
+  rec.images.push_back(WalImage{"doc", 2, PinValue(0, {}, "v1")});
+  UndoEntry prior;
+  prior.key = "doc";
+  prior.version = 2;
+  prior.prior = PinValue(9, {3}, "old");
+  rec.undo.push_back(prior);
+  UndoEntry created;
+  created.key = "new";
+  created.version = 2;
+  created.created = true;
+  rec.undo.push_back(created);
+  EXPECT_EQ(Hex(EncodeWalRecord(rec)),
+            "0402000000000100000009000000000100000000000000000000000100000003"
+            "000000646f630200000000000000000000000000000002000000763102000000"
+            "03000000646f6302000000000900000000000000010000000300000000000000"
+            "030000006f6c64030000006e6577020000000100000000000000000000000000"
+            "000000");
+}
+
+TEST(CheckpointTest, FileBytesArePinned) {
+  const std::string dir = TestDir("ckpt_pinned");
+  CheckpointData ck;
+  ck.vu = 3;
+  ck.vr = 2;
+  ck.seq_floor = 8192;
+  ck.wal_segment = 5;
+  ck.store.push_back(WalImage{"a@0", 2, PinValue(17, {4, 5}, "x")});
+  ck.store.push_back(WalImage{"b@1", 3, PinValue(-1, {}, "")});
+  CheckpointData::CounterRow row;
+  row.version = 2;
+  row.r = {1, 2, 3};
+  row.c = {3, 2, 1};
+  ck.counters.push_back(row);
+  ASSERT_TRUE(WriteCheckpointFile(dir, ck).ok());
+
+  const fs::path path = fs::path(dir) / "checkpoint-00000005.ckpt";
+  std::vector<uint8_t> bytes(fs::file_size(path));
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+  EXPECT_EQ(Hex(bytes),
+            "434b563303000000020000000020000000000000050000000000000002000000"
+            "0300000061403002000000110000000000000002000000040000000000000005"
+            "0000000000000001000000780300000062403103000000ffffffffffffffff00"
+            "0000000000000001000000020000000300000001000000000000000200000000"
+            "0000000300000000000000030000000300000000000000020000000000000001"
+            "00000000000000103fe24e");
 }
 
 TEST(WalTest, AppendThenReadAllInOrder) {
