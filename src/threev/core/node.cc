@@ -89,13 +89,14 @@ void Node::RecoverFromLog() {
     nc_txns_.emplace(txn, std::move(st));
   }
 
-  // Roots that logged a decision before crashing re-broadcast it to every
-  // node: participants whose decision message died with us resolve, nodes
-  // that already applied it (or never saw the txn) just ack, and the acks
-  // land in an empty nc_roots_ and are dropped. In-doubt txns rooted here
-  // WITHOUT a logged decision are presumed aborted - the forced
-  // kNcRootDecision record is the only possible source of a delivered
-  // commit, so no participant can have committed.
+  // Roots that logged a decision before crashing re-drive it to every node
+  // as a 2PC round: participants whose decision message died with us
+  // resolve, nodes that already applied it (or never saw the txn) just ack,
+  // and the round's retry timer resends until every node has acked - the
+  // pre-crash root's timer died with it. In-doubt txns rooted here WITHOUT
+  // a logged decision are presumed aborted - the forced kNcRootDecision
+  // record is the only possible source of a delivered commit, so no
+  // participant can have committed.
   std::map<TxnId, bool> decisions = recovered->root_decisions;
   for (const auto& [txn, in_doubt] : recovered->in_doubt) {
     if (GlobalIdEndpoint(txn) == options_.id && !decisions.count(txn)) {
@@ -108,47 +109,12 @@ void Node::RecoverFromLog() {
     }
   }
   for (const auto& [txn, commit] : decisions) {
-    std::set<NodeId> waiting;
-    for (NodeId p = 0; p < options_.num_nodes; ++p) waiting.insert(p);
-    recovered_decisions_.emplace(txn, std::make_pair(commit, waiting));
-    for (NodeId p = 0; p < options_.num_nodes; ++p) {
-      Message m;
-      m.type = MsgType::kDecision;
-      m.from = options_.id;
-      m.txn = txn;
-      m.flag = commit;
-      Send(p, std::move(m));
-    }
+    TwopcRound round;
+    round.type = MsgType::kDecision;
+    round.commit = commit;
+    for (NodeId p = 0; p < options_.num_nodes; ++p) round.awaiting.insert(p);
+    OpenTwopcRound(txn, std::move(round));
   }
-  // The broadcast alone is not enough: a single dropped kDecision here
-  // would strand a prepared participant on its locks forever, because the
-  // pre-crash root's in-memory retry watchdog died with it. Retry against
-  // the ack set until every node has confirmed.
-  if (!decisions.empty()) ArmRecoveryDecisionRetry();
-}
-
-void Node::ArmRecoveryDecisionRetry() {
-  if (options_.twopc_retry_interval <= 0) return;
-  timers_.Arm(options_.twopc_retry_interval, [this] {
-    if (recovered_decisions_.empty()) return;
-    std::vector<std::pair<NodeId, Message>> resend;
-    for (const auto& [txn, state] : recovered_decisions_) {
-      for (NodeId p : state.second) {
-        Message m;
-        m.type = MsgType::kDecision;
-        m.from = options_.id;
-        m.txn = txn;
-        m.flag = state.first;
-        resend.emplace_back(p, std::move(m));
-      }
-    }
-    if (metrics_ != nullptr && !resend.empty()) {
-      metrics_->twopc_retransmits.fetch_add(
-          static_cast<int64_t>(resend.size()), std::memory_order_relaxed);
-    }
-    for (auto& [to, m] : resend) Send(to, std::move(m));
-    ArmRecoveryDecisionRetry();
-  });
 }
 
 void Node::LogRecord(const WalRecord& rec, bool force) {
@@ -256,63 +222,6 @@ Status Node::WriteCheckpoint() {
                      TraceContext{}, 0, static_cast<int64_t>(bytes));
   }
   return wal_->TruncateBefore(ck.wal_segment);
-}
-
-void Node::ArmTwopcRetry(TxnId txn) {
-  if (options_.twopc_retry_interval <= 0) return;
-  timers_.Arm(options_.twopc_retry_interval, [this, txn] {
-    auto rit = nc_roots_.find(txn);
-    if (rit == nc_roots_.end()) return;  // root resolved: watchdog dies
-    auto pit = pending_.find(rit->second);
-    if (pit == pending_.end()) return;
-    const PendingSubtxn& rec = pit->second;
-    const TraceContext twopc_trace = rec.twopc_trace;
-    const bool prepare = !rec.vote_waiting.empty();
-    const bool commit = rec.commit;
-    const std::vector<NodeId> targets =
-        prepare ? std::vector<NodeId>(rec.vote_waiting.begin(),
-                                      rec.vote_waiting.end())
-                : std::vector<NodeId>(rec.ack_waiting.begin(),
-                                      rec.ack_waiting.end());
-    if (!targets.empty() && metrics_ != nullptr) {
-      metrics_->twopc_retransmits.fetch_add(
-          static_cast<int64_t>(targets.size()), std::memory_order_relaxed);
-    }
-    for (NodeId p : targets) {
-      Message m;
-      m.type = prepare ? MsgType::kPrepare : MsgType::kDecision;
-      m.from = options_.id;
-      m.txn = txn;
-      m.flag = prepare ? false : commit;
-      m.trace = twopc_trace;
-      Send(p, std::move(m));
-    }
-    ArmTwopcRetry(txn);
-  });
-}
-
-std::string Node::DebugString() const {
-  std::string out = "node " + std::to_string(options_.id) +
-                    ": vu=" + std::to_string(vu()) +
-                    " vr=" + std::to_string(vr()) + "\n";
-  for (const auto& [sid, rec] : pending_) {
-    out += "  pending subtxn " + std::to_string(sid) + " txn " +
-           std::to_string(rec.txn) + " v" + std::to_string(rec.version) +
-           (rec.is_root ? " root" : "") + " outstanding=" +
-           std::to_string(rec.outstanding) +
-           " votes=" + std::to_string(rec.vote_waiting.size()) +
-           " acks=" + std::to_string(rec.ack_waiting.size()) +
-           " status=" + rec.status.ToString() + "\n";
-  }
-  for (const auto& [txn, st] : nc_txns_) {
-    out += "  nc txn " + std::to_string(txn) +
-           " completions=" + std::to_string(st.completions.size()) +
-           (st.failed ? " FAILED" : "") + "\n";
-  }
-  for (const auto& [version, fn] : gate_waiters_) {
-    out += "  gate waiter for v" + std::to_string(version) + "\n";
-  }
-  return out;
 }
 
 SubtxnId Node::NewSubtxnId() {
@@ -527,7 +436,6 @@ void Node::StartSubtxn(ExecPtr ctx) {
 
 void Node::ProceedNonCommuting(ExecPtr ctx) {
   ctx->lock_needs = ComputeLockNeeds(ctx->plan, /*non_commuting=*/true);
-  ctx->lock_wait_start = network_->Now();
 
   // Deadlocks among non-commuting transactions (and against held commute
   // locks) are resolved by timeout-abort. The timeout re-arms until the
@@ -814,22 +722,11 @@ void Node::FinishExecution(const ExecPtr& ctx, Status status,
     metrics_->subtxns_executed.fetch_add(1, std::memory_order_relaxed);
   }
   PendingSubtxn rec;
-  rec.txn = ctx->txn;
-  rec.subtxn = ctx->subtxn;
-  rec.parent_subtxn = ctx->parent_subtxn;
-  rec.source = ctx->source;
-  rec.version = ctx->version;
-  rec.is_root = ctx->is_root;
-  rec.read_only = ctx->read_only;
-  rec.klass = ctx->klass;
+  static_cast<SubtxnHeader&>(rec) = *ctx;
   rec.outstanding = child_ids.size();
   rec.reads = std::move(reads);
   rec.status = std::move(status);
   rec.participants.insert(options_.id);
-  rec.client = ctx->client;
-  rec.client_seq = ctx->client_seq;
-  rec.submit_time = ctx->submit_time;
-  rec.trace = ctx->trace;
   if (rec.outstanding == 0) {
     CompleteSubtxn(std::move(rec));
     return;
@@ -923,48 +820,34 @@ void Node::ResolveRoot(PendingSubtxn rec) {
     return;
   }
 
-  // Non-commuting root: run two-phase commit over the participants.
-  // Presumed abort: if any subtransaction already failed, skip the vote
-  // round and distribute the abort decision directly.
-  std::vector<NodeId> participants(rec.participants.begin(),
-                                   rec.participants.end());
-  TxnId txn = rec.txn;
-  bool prepare = rec.status.ok();
-  if (!prepare) {
-    // Presumed abort still logs the decision before distributing it: a
-    // restarted root must re-drive the aborts, not forget the transaction.
+  // Non-commuting root: run two-phase commit over the participants. The
+  // root record stays in pending_ until the round's last ack. Presumed
+  // abort: if a subtransaction already failed, skip the vote and
+  // distribute the abort directly.
+  TwopcRound round;
+  round.type = rec.status.ok() ? MsgType::kPrepare : MsgType::kDecision;
+  round.commit = rec.status.ok();
+  round.awaiting = rec.participants;
+  round.root = rec.subtxn;
+  if (!round.commit) {
+    // The abort is logged before it goes out, so a restarted root
+    // re-drives it instead of forgetting the transaction.
     WalRecord wrec;
     wrec.type = WalRecordType::kNcRootDecision;
-    wrec.txn = txn;
+    wrec.txn = rec.txn;
     wrec.flag = false;
     LogRecord(wrec, /*force=*/true);
   }
   if (tracer_ != nullptr && tracer_->enabled()) {
-    // The 2PC rounds get their own span under the transaction span; it
-    // closes in FinishRoot once every ack is in.
-    rec.twopc_trace =
+    // The round gets its own span under the transaction span; it closes
+    // with the round's last ack.
+    round.trace =
         tracer_->BeginSpan(network_->Now(), options_.id, TraceOp::kTwopc,
-                           rec.trace, static_cast<int64_t>(txn));
+                           rec.trace, static_cast<int64_t>(rec.txn));
   }
-  TraceContext twopc_trace = rec.twopc_trace;
-  nc_roots_[txn] = rec.subtxn;
-  if (prepare) {
-    rec.vote_waiting.insert(participants.begin(), participants.end());
-  } else {
-    rec.commit = false;
-    rec.ack_waiting.insert(participants.begin(), participants.end());
-  }
+  const TxnId txn = rec.txn;
   pending_.emplace(rec.subtxn, std::move(rec));
-  for (NodeId p : participants) {
-    Message m;
-    m.type = prepare ? MsgType::kPrepare : MsgType::kDecision;
-    m.from = options_.id;
-    m.txn = txn;
-    m.flag = false;  // only meaningful for kDecision: abort
-    m.trace = twopc_trace;
-    Send(p, std::move(m));
-  }
-  ArmTwopcRetry(txn);
+  OpenTwopcRound(txn, std::move(round));
 }
 
 void Node::FinishRoot(PendingSubtxn& rec, Status status) {
@@ -991,10 +874,6 @@ void Node::FinishRoot(PendingSubtxn& rec, Status status) {
     history_->RecordComplete(rec.txn, committed, rec.version, rec.reads, now);
   }
   if (tracer_ != nullptr && tracer_->enabled()) {
-    if (rec.twopc_trace.valid()) {
-      tracer_->EndSpan(now, options_.id, TraceOp::kTwopc, rec.twopc_trace,
-                       committed ? 1 : 0);
-    }
     tracer_->EndSpan(now, options_.id, TraceOp::kTxn, rec.trace,
                      committed ? 1 : 0);
   }
@@ -1014,6 +893,38 @@ void Node::FinishRoot(PendingSubtxn& rec, Status status) {
 // ---------------------------------------------------------------------------
 // Two-phase commit (NC3V)
 // ---------------------------------------------------------------------------
+
+void Node::OpenTwopcRound(TxnId txn, TwopcRound round) {
+  SendTwopc(txn, twopc_.emplace(txn, std::move(round)).first->second);
+  ArmTwopcRetry(txn);
+}
+
+void Node::SendTwopc(TxnId txn, const TwopcRound& round) {
+  for (NodeId p : round.awaiting) {
+    Message m;
+    m.type = round.type;
+    m.from = options_.id;
+    m.txn = txn;
+    m.flag = round.type == MsgType::kDecision && round.commit;
+    m.trace = round.trace;
+    Send(p, std::move(m));
+  }
+}
+
+void Node::ArmTwopcRetry(TxnId txn) {
+  if (options_.twopc_retry_interval <= 0) return;
+  timers_.Arm(options_.twopc_retry_interval, [this, txn] {
+    auto it = twopc_.find(txn);
+    if (it == twopc_.end()) return;  // the round ended: its timer dies
+    if (metrics_ != nullptr) {
+      metrics_->twopc_retransmits.fetch_add(
+          static_cast<int64_t>(it->second.awaiting.size()),
+          std::memory_order_relaxed);
+    }
+    SendTwopc(txn, it->second);
+    ArmTwopcRetry(txn);
+  });
+}
 
 void Node::OnPrepare(const Message& msg) {
   // No participant state: either this node crashed before the
@@ -1042,36 +953,23 @@ void Node::OnPrepare(const Message& msg) {
 }
 
 void Node::OnVote(const Message& msg) {
-  auto rit = nc_roots_.find(msg.txn);
-  if (rit == nc_roots_.end()) return;
-  auto pit = pending_.find(rit->second);
-  if (pit == pending_.end()) return;
-  PendingSubtxn& root = pit->second;
-  if (root.vote_waiting.erase(msg.from) == 0) return;  // duplicate vote
-  if (!msg.flag) root.commit = false;
-  if (!root.vote_waiting.empty() || !root.ack_waiting.empty()) return;
-  const bool commit = root.commit;
-  const TraceContext twopc_trace = root.twopc_trace;
-  root.ack_waiting.insert(root.participants.begin(), root.participants.end());
-  const std::vector<NodeId> participants(root.participants.begin(),
-                                         root.participants.end());
+  auto it = twopc_.find(msg.txn);
+  if (it == twopc_.end() || it->second.type != MsgType::kPrepare) return;
+  TwopcRound& round = it->second;
+  if (round.awaiting.erase(msg.from) == 0) return;  // duplicate vote
+  if (!msg.flag) round.commit = false;
+  if (!round.awaiting.empty()) return;
   // Force the decision record before the first decision message leaves:
   // presumed abort on recovery is sound only if a logged decision is the
   // sole possible source of a delivered commit.
   WalRecord rec;
   rec.type = WalRecordType::kNcRootDecision;
   rec.txn = msg.txn;
-  rec.flag = commit;
+  rec.flag = round.commit;
   LogRecord(rec, /*force=*/true);
-  for (NodeId p : participants) {
-    Message m;
-    m.type = MsgType::kDecision;
-    m.from = options_.id;
-    m.txn = msg.txn;
-    m.flag = commit;
-    m.trace = twopc_trace;
-    Send(p, std::move(m));
-  }
+  round.type = MsgType::kDecision;
+  round.awaiting = pending_.at(round.root).participants;
+  SendTwopc(msg.txn, round);
 }
 
 void Node::OnDecision(const Message& msg) {
@@ -1116,27 +1014,23 @@ void Node::OnDecision(const Message& msg) {
 }
 
 void Node::OnDecisionAck(const Message& msg) {
-  // Recovery re-broadcasts resolve against their own ack set: the txn has
-  // no pending root record (it finished or died pre-crash), only a durably
-  // logged decision being re-driven to completion.
-  auto recovered = recovered_decisions_.find(msg.txn);
-  if (recovered != recovered_decisions_.end()) {
-    recovered->second.second.erase(msg.from);
-    if (recovered->second.second.empty()) {
-      recovered_decisions_.erase(recovered);
-    }
-    return;
-  }
-  auto rit = nc_roots_.find(msg.txn);
-  if (rit == nc_roots_.end()) return;
-  auto pit = pending_.find(rit->second);
-  if (pit == pending_.end()) return;
-  if (pit->second.ack_waiting.erase(msg.from) == 0) return;  // duplicate
-  if (!pit->second.ack_waiting.empty()) return;
+  auto it = twopc_.find(msg.txn);
+  if (it == twopc_.end() || it->second.type != MsgType::kDecision) return;
+  if (it->second.awaiting.erase(msg.from) == 0) return;  // duplicate ack
+  if (!it->second.awaiting.empty()) return;
+  const TwopcRound round = std::move(it->second);
+  twopc_.erase(it);
+  // A recovered round only re-drove a logged decision: nobody to answer.
+  if (round.root == 0) return;
+  auto pit = pending_.find(round.root);
+  THREEV_CHECK(pit != pending_.end());
   PendingSubtxn rec = std::move(pit->second);
   pending_.erase(pit);
-  nc_roots_.erase(rit);
-  Status status = rec.commit
+  if (round.trace.valid() && tracer_ != nullptr && tracer_->enabled()) {
+    tracer_->EndSpan(network_->Now(), options_.id, TraceOp::kTwopc,
+                     round.trace, round.commit ? 1 : 0);
+  }
+  Status status = round.commit
                       ? Status::Ok()
                       : (rec.status.ok() ? Status::Aborted("2pc abort")
                                          : rec.status);

@@ -117,6 +117,11 @@ struct NodeOptions {
 // (every send goes through Node::Send) and at the end of every handler, so
 // between events the log holds every record.
 //
+// Two-phase commit (NC3V): the node roots one TwopcRound per non-commuting
+// transaction it runs as root, and recovery opens one for every decision
+// it finds logged. A round resends its message to the nodes that have not
+// answered on one owned timer until the last one has.
+//
 // Threading (DESIGN.md section 6): one thread owns the node. Every handler,
 // timer callback included (timers arrive as kTimer messages through
 // Network::ScheduleTimer), runs on the thread the transport runs this
@@ -124,9 +129,9 @@ struct NodeOptions {
 // take no locks. HandleMessage enforces it: two overlapping calls abort the
 // process. Other threads may only call halted(), Halt(), vu(), vr() and
 // store().MaxVersionsObserved(); everything else - WriteCheckpoint,
-// PendingSubtxns, DebugString, the store/counters/locks accessors - is for
-// the owner thread or for a quiescent node (SimNet between events, or after
-// the transport stopped).
+// PendingSubtxns, the store/counters/locks accessors - is for the owner
+// thread or for a quiescent node (SimNet between events, or after the
+// transport stopped).
 class Node {
  public:
   Node(const NodeOptions& options, Network* network, Metrics* metrics,
@@ -162,77 +167,68 @@ class Node {
   const VersionedStore& store() const { return store_; }
   CounterTable& counters() { return counters_; }
   LockManager& locks() { return locks_; }
-  // Subtransactions whose subtrees have not completed yet at this node.
+  // Subtransactions whose subtrees have not completed yet at this node
+  // (a non-commuting root stays here until its 2PC round ends).
   size_t PendingSubtxns() const { return pending_.size(); }
   // Null when durability is disabled.
   WriteAheadLog* wal() { return wal_.get(); }
 
-  // Multi-line diagnostic snapshot: versions, pending subtransactions,
-  // open non-commuting transactions, queued version-gate waiters.
-  std::string DebugString() const;
-
  private:
-  static constexpr Version kUnassigned = 0xffffffff;
-
-  // Execution context of one subtransaction, kept alive across async lock
-  // acquisition by shared_ptr.
-  struct ExecContext {
+  // What a subtransaction is, from arrival until its subtree completes:
+  // execution (ExecContext) and completion accounting (PendingSubtxn)
+  // carry the same header.
+  struct SubtxnHeader {
     TxnId txn = 0;
     SubtxnId subtxn = 0;
     SubtxnId parent_subtxn = 0;
     NodeId source = 0;  // node that invoked this subtransaction
-    Version version = kUnassigned;
+    Version version = 0;
     bool is_root = false;
     bool read_only = false;
-    bool compensation = false;
     TxnClass klass = TxnClass::kWellBehaved;
-    SubtxnPlan plan;
     // Root only: who to answer when the tree resolves.
     NodeId client = 0;
     uint64_t client_seq = 0;
     Micros submit_time = 0;
-    // Span of this subtransaction's execution (invalid when tracing off);
-    // child requests carry ctx.trace so remote spans parent under it.
+    // Span of this subtransaction (invalid when tracing off); child
+    // requests, completion notices, 2PC traffic and the client result are
+    // stamped with it.
     TraceContext trace;
+  };
+
+  // Execution context of one subtransaction, kept alive across async lock
+  // acquisition by shared_ptr.
+  struct ExecContext : SubtxnHeader {
+    bool compensation = false;
+    SubtxnPlan plan;
     // Async lock acquisition state.
     std::vector<std::pair<std::string, LockMode>> lock_needs;
     size_t next_lock = 0;
     bool lock_done = false;
-    Micros lock_wait_start = 0;
   };
   using ExecPtr = std::shared_ptr<ExecContext>;
 
   // A subtransaction that executed here and is waiting for its children's
   // completion notices (hierarchical completion accounting).
-  struct PendingSubtxn {
-    TxnId txn = 0;
-    SubtxnId subtxn = 0;
-    SubtxnId parent_subtxn = 0;
-    NodeId source = 0;
-    Version version = 0;
-    bool is_root = false;
-    bool read_only = false;
-    TxnClass klass = TxnClass::kWellBehaved;
+  struct PendingSubtxn : SubtxnHeader {
     size_t outstanding = 0;  // children not yet reported
     std::map<std::string, Value> reads;  // own + subtree reads
     Status status;                       // first failure in the subtree
     std::set<NodeId> participants;       // nodes in the subtree
-    // Root only.
-    NodeId client = 0;
-    uint64_t client_seq = 0;
-    Micros submit_time = 0;
-    // Span carried over from execution; completion notices / 2PC traffic /
-    // the client result are stamped with it.
-    TraceContext trace;
-    // Root of a non-commuting transaction: the kTwopc span opened by
-    // ResolveRoot and closed by FinishRoot.
-    TraceContext twopc_trace;
-    // Two-phase commit state (root of a non-commuting transaction).
-    // Sets rather than counts: retransmitted prepares/decisions produce
-    // duplicate votes/acks, which must deduplicate, not underflow.
-    std::set<NodeId> vote_waiting;
+  };
+
+  // One two-phase-commit round this node drives as root: kPrepare to the
+  // participants, then kDecision to them. Recovery re-drives a logged
+  // decision as a round that starts at kDecision and goes to every node.
+  struct TwopcRound {
+    MsgType type = MsgType::kPrepare;  // the message being collected
     bool commit = true;
-    std::set<NodeId> ack_waiting;
+    // Nodes whose vote (kPrepare) or ack (kDecision) is still missing. A
+    // set, not a count: a resent message draws duplicate answers.
+    std::set<NodeId> awaiting;
+    TraceContext trace;  // kTwopc span; invalid for a recovered round
+    // pending_ key of the root record; 0 for a decision recovery re-drives.
+    SubtxnId root = 0;
   };
 
   // Per-node state of a non-commuting transaction (participant side).
@@ -292,6 +288,14 @@ class Node {
   void ResolveRoot(PendingSubtxn rec);
   void FinishRoot(PendingSubtxn& rec, Status status);
 
+  // --- two-phase commit, root side ---
+  // Registers `round`, sends its message and arms its retry timer.
+  void OpenTwopcRound(TxnId txn, TwopcRound round);
+  // Sends the round's message to every node it still awaits.
+  void SendTwopc(TxnId txn, const TwopcRound& round);
+  // Resends the round's message until the round ends.
+  void ArmTwopcRetry(TxnId txn);
+
   // --- durability ---
   // Rebuilds state from checkpoint + WAL and re-enters in-doubt 2PC. Runs
   // from the constructor, before the node is registered with the network.
@@ -308,12 +312,6 @@ class Node {
   void LogCounter(Version v, bool is_r, NodeId peer);
   // Reserves a block of id sequence numbers ahead of use (kSeqReserve).
   void ReserveSeqs();
-  // Root-side 2PC retransmission watchdog; re-arms until the root resolves.
-  void ArmTwopcRetry(TxnId txn);
-  // Recovery-side decision retransmission: a restarted root's re-broadcast
-  // decisions are retried until every node acked (a fire-once broadcast
-  // plus one lost message would wedge a prepared participant forever).
-  void ArmRecoveryDecisionRetry();
 
   // --- externalization ---
   // The only way a message leaves this node (tools/threev_lint.py enforces
@@ -360,16 +358,12 @@ class Node {
   // Ids below this are WAL-reserved.
   uint64_t seq_reserved_until_ = 0;
   Rng rng_;
-  // NC lock timeouts, 2PC retries and recovery's decision re-broadcast,
-  // each run on this node's thread as a kTimer.
+  // NC lock timeouts and 2PC retries, each run on this node's thread as a
+  // kTimer.
   OwnedTimers timers_;
   std::map<SubtxnId, PendingSubtxn> pending_;
-  // Routes kVote / kDecisionAck.
-  std::map<TxnId, SubtxnId> nc_roots_;
-  // Recovery re-broadcast decisions still awaiting per-node acks. Keyed by
-  // txn; value = (commit flag, nodes that have not acked yet). Liveness
-  // only - the decision itself is already durably logged.
-  std::map<TxnId, std::pair<bool, std::set<NodeId>>> recovered_decisions_;
+  // Open 2PC rounds rooted here; routes kVote / kDecisionAck.
+  std::map<TxnId, TwopcRound> twopc_;
   std::unordered_map<TxnId, NcTxnState> nc_txns_;
   // NC3V version gate: continuations waiting for vr == version - 1.
   std::vector<std::pair<Version, std::function<void()>>> gate_waiters_;

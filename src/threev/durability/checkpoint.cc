@@ -36,24 +36,6 @@ std::vector<uint64_t> ListCheckpoints(const std::string& dir) {
   return out;
 }
 
-void EncodeCkptValue(WireWriter& w, const Value& v) {
-  w.I64(v.num);
-  w.U32(static_cast<uint32_t>(v.ids.size()));
-  for (uint64_t id : v.ids) w.U64(id);
-  w.Str(v.str);
-}
-
-Value DecodeCkptValue(WireReader& r) {
-  Value v;
-  v.num = r.I64();
-  uint32_t n = r.U32();
-  if (n > (1u << 24)) n = 0;
-  v.ids.reserve(n);
-  for (uint32_t i = 0; i < n && r.ok(); ++i) v.ids.push_back(r.U64());
-  v.str = r.Str();
-  return v;
-}
-
 }  // namespace
 
 Status WriteCheckpointFile(const std::string& dir,
@@ -68,7 +50,7 @@ Status WriteCheckpointFile(const std::string& dir,
   for (const auto& img : data.store) {
     w.Str(img.key);
     w.U32(img.version);
-    EncodeCkptValue(w, img.value);
+    EncodeValue(w, img.value);
   }
   w.U32(static_cast<uint32_t>(data.counters.size()));
   for (const auto& row : data.counters) {
@@ -148,7 +130,7 @@ Result<CheckpointData> LoadLatestCheckpoint(const std::string& dir) {
       WalImage img;
       img.key = r.Str();
       img.version = r.U32();
-      img.value = DecodeCkptValue(r);
+      img.value = DecodeValue(r);
       data.store.push_back(std::move(img));
     }
     uint32_t nrows = r.U32();

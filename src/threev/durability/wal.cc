@@ -60,37 +60,15 @@ uint32_t WalCrc32(const uint8_t* data, size_t size) {
 
 namespace {
 
-void EncodeWalValue(WireWriter& w, const Value& v) {
-  w.I64(v.num);
-  w.U32(static_cast<uint32_t>(v.ids.size()));
-  for (uint64_t id : v.ids) w.U64(id);
-  w.Str(v.str);
-}
-
-Value DecodeWalValue(WireReader& r) {
-  Value v;
-  v.num = r.I64();
-  uint32_t n = r.U32();
-  if (n > (1u << 24)) n = 0;  // malformed length must not over-allocate
-  v.ids.reserve(n);
-  for (uint32_t i = 0; i < n && r.ok(); ++i) v.ids.push_back(r.U64());
-  v.str = r.Str();
-  return v;
-}
-
-size_t WalValueSize(const Value& v) {
-  return 8 + 4 + 8 * v.ids.size() + 4 + v.str.size();
-}
-
 // Exact payload size of EncodeWalPayload's output: staging reserves it in
 // one step, so the batch buffer never doubles under a frame.
 size_t WalPayloadSize(const WalRecord& rec) {
   size_t n = 1 + 4 + 1 + 4 + 8 + 8 + 1 + 4 + 4;
   for (const auto& img : rec.images) {
-    n += 4 + img.key.size() + 4 + WalValueSize(img.value);
+    n += 4 + img.key.size() + 4 + EncodedValueSize(img.value);
   }
   for (const auto& u : rec.undo) {
-    n += 4 + u.key.size() + 4 + 1 + WalValueSize(u.prior);
+    n += 4 + u.key.size() + 4 + 1 + EncodedValueSize(u.prior);
   }
   return n;
 }
@@ -107,14 +85,14 @@ void EncodeWalPayload(WireWriter& w, const WalRecord& rec) {
   for (const auto& img : rec.images) {
     w.Str(img.key);
     w.U32(img.version);
-    EncodeWalValue(w, img.value);
+    EncodeValue(w, img.value);
   }
   w.U32(static_cast<uint32_t>(rec.undo.size()));
   for (const auto& u : rec.undo) {
     w.Str(u.key);
     w.U32(u.version);
     w.Bool(u.created);
-    EncodeWalValue(w, u.prior);
+    EncodeValue(w, u.prior);
   }
 }
 
@@ -143,7 +121,7 @@ Result<WalRecord> DecodeWalRecord(const uint8_t* data, size_t size) {
     WalImage img;
     img.key = r.Str();
     img.version = r.U32();
-    img.value = DecodeWalValue(r);
+    img.value = DecodeValue(r);
     rec.images.push_back(std::move(img));
   }
   uint32_t nundo = r.U32();
@@ -153,7 +131,7 @@ Result<WalRecord> DecodeWalRecord(const uint8_t* data, size_t size) {
     u.key = r.Str();
     u.version = r.U32();
     u.created = r.Bool();
-    u.prior = DecodeWalValue(r);
+    u.prior = DecodeValue(r);
     rec.undo.push_back(std::move(u));
   }
   if (!r.ok()) return Status::IoError("truncated wal record");

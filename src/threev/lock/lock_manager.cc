@@ -4,20 +4,6 @@
 
 namespace threev {
 
-const char* LockModeName(LockMode mode) {
-  switch (mode) {
-    case LockMode::kCommuteRead:
-      return "CR";
-    case LockMode::kCommuteUpdate:
-      return "CU";
-    case LockMode::kNCRead:
-      return "NCR";
-    case LockMode::kNCWrite:
-      return "NCW";
-  }
-  return "?";
-}
-
 bool LocksCompatible(LockMode a, LockMode b) {
   // See the matrix in the header.
   auto is_commute = [](LockMode m) {
@@ -166,23 +152,6 @@ size_t LockManager::WaiterCount() const {
   size_t n = 0;
   for (const auto& [key, ks] : keys_) n += ks.waiters.size();
   return n;
-}
-
-std::string LockManager::DebugString() const {
-  std::string out;
-  for (const auto& [key, ks] : keys_) {
-    out += "  " + key + ": holders[";
-    for (const auto& h : ks.holders) {
-      out += std::to_string(h.owner) + ":" + LockModeName(h.mode) + "x" +
-             std::to_string(h.count) + " ";
-    }
-    out += "] waiters[";
-    for (const auto& w : ks.waiters) {
-      out += std::to_string(w.owner) + ":" + LockModeName(w.mode) + " ";
-    }
-    out += "]\n";
-  }
-  return out;
 }
 
 bool LockManager::Holds(const std::string& key, uint64_t owner) const {

@@ -31,7 +31,6 @@ enum class LockMode : uint8_t {
   kNCWrite = 3,
 };
 
-const char* LockModeName(LockMode mode);
 bool LocksCompatible(LockMode a, LockMode b);
 
 // Whether `stronger` subsumes `weaker` for re-entrant grants by the same
@@ -77,8 +76,6 @@ class LockManager {
   size_t HeldCount() const;
   size_t WaiterCount() const;
   bool Holds(const std::string& key, uint64_t owner) const;
-  // One line per key with holders and queued waiters.
-  std::string DebugString() const;
 
  private:
   struct Holder {

@@ -45,15 +45,6 @@ std::string WireReader::Str() {
   return s;
 }
 
-namespace {
-
-void EncodeValue(WireWriter& w, const Value& v) {
-  w.I64(v.num);
-  w.U32(static_cast<uint32_t>(v.ids.size()));
-  for (uint64_t id : v.ids) w.U64(id);
-  w.Str(v.str);
-}
-
 Value DecodeValue(WireReader& r) {
   Value v;
   v.num = r.I64();
@@ -66,6 +57,8 @@ Value DecodeValue(WireReader& r) {
   v.str = r.Str();
   return v;
 }
+
+namespace {
 
 void EncodePlan(WireWriter& w, const SubtxnPlan& plan) {
   w.U32(plan.node);
@@ -124,7 +117,7 @@ size_t EncodedMessageSize(const Message& msg) {
   n += 4 + 4 * msg.participants.size();
   n += 4;
   for (const auto& [key, value] : msg.reads) {
-    n += 4 + key.size() + 8 + 4 + 8 * value.ids.size() + 4 + value.str.size();
+    n += 4 + key.size() + EncodedValueSize(value);
   }
   n += 4 + 12 * msg.counters_r.size();
   n += 4 + 12 * msg.counters_c.size();

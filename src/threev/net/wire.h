@@ -128,6 +128,23 @@ class WireReader {
   bool ok_ = true;
 };
 
+// The one encoding of a Value, shared by messages, WAL records and
+// checkpoint files: num, id count, ids, length-prefixed str.
+inline void EncodeValue(WireWriter& w, const Value& v) {
+  w.I64(v.num);
+  w.U32(static_cast<uint32_t>(v.ids.size()));
+  for (uint64_t id : v.ids) w.U64(id);
+  w.Str(v.str);
+}
+
+// Exact size of EncodeValue's output.
+inline size_t EncodedValueSize(const Value& v) {
+  return 8 + 4 + 8 * v.ids.size() + 4 + v.str.size();
+}
+
+// Reads one EncodeValue encoding; a truncated or malformed one fails `r`.
+Value DecodeValue(WireReader& r);
+
 // Serializes a Message (including its plan tree and all payloads).
 std::vector<uint8_t> EncodeMessage(const Message& msg);
 

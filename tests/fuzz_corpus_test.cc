@@ -39,8 +39,8 @@ const CorpusSeed kCorpus[] = {
     // drop rule, so the restarted root's recovery re-broadcast of the
     // presumed-abort decision lost a message - and, being fire-once,
     // stranded prepared participants on their NC locks forever. Fixed by
-    // retrying recovery decisions against a per-node ack set
-    // (Node::ArmRecoveryDecisionRetry); these seeds pin the fix.
+    // retrying recovery decisions against a per-node ack set (a recovered
+    // Node::TwopcRound, resent by ArmTwopcRetry); these seeds pin the fix.
     {170, "root killed at Vote + dropped recovery decision", 2},
     {191, "root killed at Vote + delayed recovery decision", 2},
 };
