@@ -38,7 +38,7 @@ class CAPABILITY("mutex") Mutex {
 //   cv_.wait(lock, [&] { return ready_; });   // cv_ is condition_variable_any
 //
 // The manual lock()/unlock() members exist for the condition variable and
-// for drop-the-lock-around-a-callback loops (see ThreadNet::TimerLoop); the
+// for drop-the-lock-around-a-callback loops (see TcpNet::Flush); the
 // object must be locked again when it goes out of scope (condition-variable
 // waits re-acquire before returning, so the common pattern is safe by
 // construction).

@@ -23,7 +23,7 @@ Message TimerMessage(NodeId owner, uint64_t token);
 //   SimNet    - deterministic discrete-event simulation (virtual time).
 //   ThreadNet - one mailbox thread per endpoint, real time.
 //   TcpNet    - length-prefixed frames over TCP between processes; local
-//               delivery and timers run on an embedded ThreadNet.
+//               delivery, timers and accepts run on an embedded ThreadNet.
 //
 // Contract, relied on by the protocol code:
 //  * Send() never executes the destination handler synchronously in the
@@ -56,12 +56,16 @@ class Network {
   // Sends `msg` (whose `from` field identifies the sender) to `to`.
   virtual void Send(NodeId to, Message msg) = 0;
 
-  // Runs `fn` after `delay` on a thread of the transport's choosing (the
-  // timer thread on ThreadNet/TcpNet), where it may call Send but must not
-  // touch an endpoint's handler-owned state. Used only by the
+  // Runs `fn` after `delay` on a thread the transport already runs: SimNet's
+  // loop, or on ThreadNet/TcpNet an endpoint worker (the caller's own when
+  // it is one, else the lowest endpoint's). There it may call Send but must
+  // not touch an endpoint's handler-owned state, and it must not wait for a
+  // handler, which may be queued behind it on that worker. Used only by the
   // manual-versioning baseline and the test and fuzz drivers, which guard
   // their own state; protocol endpoints use ScheduleTimer (lint rule
-  // node-owned).
+  // node-owned). It stays because a Network that wraps another (perfbench's
+  // TcpRouter and ProbeNet) forwards it, and the ScheduleTimer default below
+  // routes their owned timers through it.
   virtual void ScheduleAfter(Micros delay, std::function<void()> fn) = 0;
 
   // Owned timer: after `delay`, runs `owner`'s handler with

@@ -3,8 +3,6 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -12,6 +10,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <thread>
 
 #include "threev/common/logging.h"
 #include "threev/net/wire.h"
@@ -98,29 +97,13 @@ Status TcpNet::Start() {
     ::close(fd);
     return Status::IoError("listen() failed");
   }
-  int wake = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (wake < 0) {
-    ::close(fd);
-    return Status::IoError("eventfd() failed");
-  }
-  listen_fd_ = fd;
-  accept_wake_fd_ = wake;
+  local_.Listen(fd);
   local_.Start();
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
   return Status::Ok();
 }
 
 void TcpNet::Stop() {
   if (stopping_.exchange(true)) return;
-  if (accept_thread_.joinable()) {
-    const uint64_t one = 1;
-    (void)!::write(accept_wake_fd_, &one, sizeof(one));
-    accept_thread_.join();
-  }
-  for (int* fd : {&listen_fd_, &accept_wake_fd_}) {
-    if (*fd >= 0) ::close(*fd);
-    *fd = -1;
-  }
   {
     MutexLock lock(conn_mu_);
     // A thread blocked writing one of these wakes with an error; each
@@ -128,84 +111,12 @@ void TcpNet::Stop() {
     for (auto& [id, conn] : connections_) ::shutdown(conn->fd, SHUT_RDWR);
     connections_.clear();
   }
-  // Stops the timer, then drains the local mailboxes; handlers that send
-  // to a remote endpoint now find no connection and drop the message, and
-  // frames still corked fail to write and are dropped with their socket.
-  // The workers close the inbound connections they own as they exit.
+  // Drains the local mailboxes; handlers that send to a remote endpoint
+  // now find no connection and drop the message, and frames still corked
+  // fail to write and are dropped with their socket. The workers close
+  // the inbound connections they own as they exit, and then the listening
+  // socket closes.
   local_.Stop();
-}
-
-void TcpNet::AcceptLoop() {
-  std::vector<Unrouted> unrouted;
-  std::vector<pollfd> fds;
-  for (;;) {
-    fds.assign({pollfd{accept_wake_fd_, POLLIN, 0},
-                pollfd{listen_fd_, POLLIN, 0}});
-    for (const Unrouted& u : unrouted) fds.push_back(pollfd{u.fd, POLLIN, 0});
-    if (::poll(fds.data(), fds.size(), -1) < 0) {
-      if (errno == EINTR) continue;
-      THREEV_LOG(kWarn) << "accept poll failed: " << std::strerror(errno);
-      break;
-    }
-    if (fds[0].revents != 0) break;  // Stop()
-    // Backwards, so a swap-remove only moves an entry already visited.
-    for (size_t i = unrouted.size(); i-- > 0;) {
-      if (fds[i + 2].revents == 0 || RouteStep(unrouted[i])) continue;
-      std::swap(unrouted[i], unrouted.back());
-      unrouted.pop_back();
-    }
-    if (fds[1].revents != 0) {
-      for (;;) {
-        int fd = ::accept4(listen_fd_, nullptr, nullptr,
-                           SOCK_NONBLOCK | SOCK_CLOEXEC);
-        if (fd < 0) break;  // EAGAIN once the backlog is empty
-        int one = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-        unrouted.push_back(Unrouted{fd, {}});
-      }
-    }
-  }
-  for (const Unrouted& u : unrouted) ::close(u.fd);
-}
-
-bool TcpNet::RouteStep(Unrouted& u) {
-  uint8_t chunk[4096];
-  const ssize_t n = ::recv(u.fd, chunk, sizeof(chunk), 0);
-  if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
-    return true;
-  }
-  if (n <= 0) {  // end of stream or error before any routable frame
-    ::close(u.fd);
-    return false;
-  }
-  u.buf.insert(u.buf.end(), chunk, chunk + n);
-  size_t pos = 0;
-  for (;;) {
-    const size_t avail = u.buf.size() - pos;
-    if (u.skip > 0) {
-      const size_t k = std::min(u.skip, avail);
-      pos += k;
-      u.skip -= k;
-      if (u.skip > 0) break;
-      continue;
-    }
-    if (avail < kFrameHeaderBytes) break;
-    const FrameHeader h = ParseFrameHeader(u.buf.data() + pos);
-    if (h.length > kMaxFramePayload) {  // oversized frame: drop connection
-      ::close(u.fd);
-      return false;
-    }
-    if (local_.AdoptConnection(h.dest, u.fd, u.buf.data() + pos, avail)) {
-      return false;
-    }
-    // An unknown destination is outside input, not a local bug: log, skip
-    // the frame and keep reading this connection.
-    THREEV_LOG(kWarn) << "dropping frame for unknown endpoint " << h.dest;
-    pos += kFrameHeaderBytes;
-    u.skip = h.length;
-  }
-  u.buf.erase(u.buf.begin(), u.buf.begin() + static_cast<ptrdiff_t>(pos));
-  return true;
 }
 
 std::shared_ptr<TcpNet::Conn> TcpNet::ConnectionTo(NodeId to) {

@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -34,17 +33,20 @@ struct TcpNetOptions {
 
 // TCP transport for genuine multi-process deployments ("manual networking
 // plumbing"). Frame format: u32 length, u32 destination endpoint id
-// (little-endian), EncodeMessage payload (wire.h). Delivery and timers run
-// on an embedded ThreadNet: local endpoints register there, and a send to
-// a local endpoint goes straight to its mailbox.
+// (little-endian), EncodeMessage payload (wire.h). Delivery, timers and
+// accepts run on an embedded ThreadNet: local endpoints register there, a
+// send to a local endpoint goes straight to its mailbox, and the process
+// runs no thread besides the local endpoints' workers.
 //
 // Inbound sockets belong to the destination's worker. A sender keeps one
 // connection per destination endpoint (ConnectionTo), so every connection
-// has one natural owner: the accept thread reads a new connection, without
-// blocking, until the first frame header that names a local endpoint
-// (dropping any earlier frames for unknown endpoints), then hands the
-// socket and the bytes read so far to that endpoint's ThreadNet worker
-// (ThreadNet::AdoptConnection). From then on the worker reads and decodes
+// has one natural owner. The listening socket sits in the epoll set of the
+// lowest local endpoint's worker (ThreadNet::Listen), which accepts each
+// connection and reads it until the first frame header that names a local
+// endpoint (frames before it for unknown endpoints are logged and
+// dropped); it keeps a connection that names itself and hands any other,
+// with the bytes read so far, to the named endpoint's worker
+// (ThreadNet::AdoptConnection). From then on that worker reads and decodes
 // the socket itself, so a frame reaches its handler with one wakeup and no
 // thread exists per connection. Handlers are serialized per endpoint
 // exactly as on ThreadNet.
@@ -68,16 +70,17 @@ class TcpNet : public Network {
 
   void RegisterEndpoint(NodeId id, MessageHandler handler) override;
   void Send(NodeId to, Message msg) override EXCLUDES(conn_mu_);
+  // Timers fire on a local worker of the embedded ThreadNet; an owned
+  // timer's `owner` must be a local endpoint.
   void ScheduleAfter(Micros delay, std::function<void()> fn) override;
-  // `owner` must be a local endpoint; its embedded ThreadNet delivers.
   void ScheduleTimer(NodeId owner, Micros delay, uint64_t token) override;
   Micros Now() const override;
 
-  // Binds the listen socket, then starts the local endpoints' workers, the
-  // timer and the accept thread. Register every local endpoint first.
+  // Binds the listen socket, hands it to the embedded ThreadNet and starts
+  // the local endpoints' workers. Register every local endpoint first.
   Status Start();
-  // Stops accepting, closes every connection and stops the embedded
-  // ThreadNet; no handler runs after it returns. Idempotent.
+  // Closes every connection and stops the embedded ThreadNet, which stops
+  // accepting; no handler runs after it returns. Idempotent.
   void Stop() EXCLUDES(conn_mu_);
 
  private:
@@ -98,19 +101,6 @@ class TcpNet : public Network {
     std::vector<uint8_t> spare;
   };
 
-  // An accepted connection that has not yet named a local endpoint.
-  struct Unrouted {
-    int fd;
-    std::vector<uint8_t> buf;  // read, not yet consumed
-    size_t skip = 0;  // payload bytes of a dropped frame still to discard
-  };
-
-  // Polls the listen socket and the unrouted connections together, so a
-  // silent peer never delays another.
-  void AcceptLoop();
-  // One non-blocking read on `u`. Returns true while `u` stays unrouted;
-  // false once its fd was handed to a worker or closed.
-  bool RouteStep(Unrouted& u);
   // Returns the cached (or freshly established) connection to `to`.
   std::shared_ptr<Conn> ConnectionTo(NodeId to) EXCLUDES(conn_mu_);
   // Writes conn's outbox until it is empty, unless another thread is
@@ -123,18 +113,12 @@ class TcpNet : public Network {
 
   TcpNetOptions options_;
   Metrics* metrics_;
-  // Local endpoints' mailboxes and workers (which also read the inbound
-  // sockets handed to them), and the timer thread. Carries no Metrics:
-  // Send() does the accounting for both paths.
+  // Local endpoints' mailboxes, timers and workers (which also accept and
+  // read the inbound sockets). Carries no Metrics: Send() does the
+  // accounting for both paths.
   ThreadNet local_;
 
   std::atomic<bool> stopping_{false};
-  // Both set by Start() and closed by Stop() after the accept thread,
-  // their only other user, has exited. Stop() wakes it through the
-  // eventfd.
-  int listen_fd_ = -1;
-  int accept_wake_fd_ = -1;
-  std::thread accept_thread_;
 
   Mutex conn_mu_;
   std::unordered_map<NodeId, std::shared_ptr<Conn>> connections_

@@ -3,15 +3,11 @@
 
 #include <atomic>
 #include <functional>
-#include <map>
 #include <memory>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "threev/common/clock.h"
-#include "threev/common/mutex.h"
-#include "threev/common/thread_annotations.h"
 #include "threev/metrics/metrics.h"
 #include "threev/net/network.h"
 #include "threev/trace/trace.h"
@@ -28,24 +24,28 @@ struct ThreadNetOptions {
   std::function<void(NodeId)> end_turn;
 };
 
-// One mailbox + worker thread per endpoint; a dedicated timer thread serves
-// ScheduleAfter, and for an owned timer (ScheduleTimer) only pushes the
-// kTimer message into the owner's mailbox, so every handler of an endpoint
-// runs on its worker. Real concurrency on real threads - used by stress and
+// One mailbox + worker thread per endpoint, and no other thread: every
+// handler of an endpoint, its owned timers (ScheduleTimer) included, runs on
+// its worker. Real concurrency on real threads - used by stress and
 // integration tests to shake out races, and as the engine room of TcpNet,
 // which registers its local endpoints here.
 //
 // A worker owns all of its endpoint's input. Each turn it drains the
 // mailbox in one swap, runs the handler on every message, then reads the
 // inbound TCP connections it was handed (AdoptConnection): one recv per
-// ready socket, every whole frame decoded and handled on the spot. When
-// there is nothing to do it parks in epoll_wait on an eventfd plus those
-// sockets, so a frame goes from the kernel to its handler with one wakeup,
-// and a local Deliver writes the eventfd only when the worker is parked.
-// An endpoint that was handed no connection never polls its (empty)
-// socket set while busy. A turn is one mailbox batch plus one epoll round
-// of socket frames; ThreadNetOptions::end_turn runs at the end of each,
-// and a worker parks only after a turn that ran nothing.
+// ready socket, every whole frame decoded and handled on the spot. It also
+// keeps the endpoint's timers in a deadline map of its own: an arm, from
+// any thread, is pushed under the mailbox lock like a message, and the
+// timers that fell due run inside the turn, an owned timer as a kTimer
+// message straight to the handler. When there is nothing to do it parks in
+// epoll_pwait2 on an eventfd plus those sockets, with the nearest deadline
+// as its timeout, so a frame goes from the kernel to its handler with one
+// wakeup, and a local Deliver or arm writes the eventfd only when the
+// worker is parked. An endpoint that was handed no connection never polls
+// its (empty) socket set while busy, and one with no timer reads no clock.
+// A turn is one mailbox batch, the due timers and one epoll round of socket
+// frames; ThreadNetOptions::end_turn runs at the end of each, and a worker
+// parks only after a turn that ran nothing.
 class ThreadNet : public Network {
  public:
   explicit ThreadNet(ThreadNetOptions options = {}, Metrics* metrics = nullptr);
@@ -57,12 +57,12 @@ class ThreadNet : public Network {
   void RegisterEndpoint(NodeId id, MessageHandler handler) override;
   // Counts and traces the send, then delivers; `to` must be registered.
   void Send(NodeId to, Message msg) override;
-  void ScheduleAfter(Micros delay, std::function<void()> fn) override
-      EXCLUDES(timer_mu_);
-  // The timer thread only Delivers the kTimer message to `owner`'s mailbox
-  // (no send accounting); the handler runs on `owner`'s worker.
-  void ScheduleTimer(NodeId owner, Micros delay, uint64_t token) override
-      EXCLUDES(timer_mu_);
+  // Runs `fn` on the calling worker when it is one of this net's, else on
+  // the worker of the lowest registered endpoint.
+  void ScheduleAfter(Micros delay, std::function<void()> fn) override;
+  // Runs `owner`'s handler with the kTimer message on its worker, with no
+  // send accounting. `owner` must be registered.
+  void ScheduleTimer(NodeId owner, Micros delay, uint64_t token) override;
   Micros Now() const override;
 
   // Enqueues `msg` on `to`'s mailbox with no send-side accounting. Returns
@@ -81,6 +81,15 @@ class ThreadNet : public Network {
   // the fd belongs to this ThreadNet (closed at once if it has stopped).
   bool AdoptConnection(NodeId owner, int fd, const uint8_t* data, size_t size);
 
+  // Has the worker of the lowest registered endpoint accept connections on
+  // the non-blocking listening socket `fd`. Each accepted connection is
+  // read like an adopted one, except that until a frame header names a
+  // local endpoint it is unrouted: the first header that names the
+  // acceptor keeps it, and one that names another local endpoint hands it,
+  // unread bytes included, to that endpoint (AdoptConnection). Call before
+  // Start(); the fd belongs to this ThreadNet, which closes it in Stop().
+  void Listen(int fd);
+
   // True, setting `*self`, when the caller runs on the worker of this
   // ThreadNet's endpoint `*self`, so end_turn runs before it parks.
   bool OnWorker(NodeId* self) const;
@@ -89,38 +98,46 @@ class ThreadNet : public Network {
   void Start();
 
   // Drains mailboxes and joins all threads; no handler runs after it
-  // returns. Safe to call twice (and from a different thread than Start's
-  // caller - the flags are atomic).
-  void Stop() EXCLUDES(timer_mu_);
+  // returns, and timers not yet due never fire. Safe to call twice (and
+  // from a different thread than Start's caller - the flags are atomic).
+  void Stop();
 
  private:
   struct InboundConn;
   struct Endpoint;
+  // A ScheduleAfter callback, or an owned timer's token when `fn` is empty.
+  struct Timer {
+    uint64_t token = 0;
+    std::function<void()> fn;
+  };
+
+  // Pushes a timer onto `self`'s arm list; its worker takes it in its next
+  // turn. Dropped after Stop().
+  void Arm(NodeId self, Micros delay, Timer timer);
 
   void WorkerLoop(NodeId self, Endpoint* e);
   // Traces the receipt and runs the handler.
   void Dispatch(NodeId self, Endpoint* e, const Message& msg);
-  // Handles every whole frame buffered in `conn`. Returns false when the
-  // connection must close (oversized frame).
+  // Handles every whole frame buffered in `conn`, routing an unrouted one
+  // first. Returns false when `conn` leaves this worker: it must close
+  // (oversized frame), or it went to another endpoint (fd now -1).
   bool HandleFrames(NodeId self, Endpoint* e, InboundConn& conn);
   // One recv into `conn`'s buffer, then HandleFrames. Returns false when
   // the connection must close.
   bool ReadConnection(NodeId self, Endpoint* e, InboundConn& conn);
-  void TimerLoop() EXCLUDES(timer_mu_);
 
   ThreadNetOptions options_;
   Metrics* metrics_;  // unowned, may be null
   // Written only before Start(); read-only (and thus lock-free) afterwards.
   std::unordered_map<NodeId, std::unique_ptr<Endpoint>> endpoints_;
+  // The lowest registered endpoint: it accepts on the listening socket and
+  // runs the ScheduleAfter callbacks armed off the workers.
+  NodeId home_ = 0;
+  // Set by Listen() before Start() and closed by Stop() after the workers,
+  // which read it, have exited.
+  int listen_fd_ = -1;
   std::atomic<bool> started_{false};
   std::atomic<bool> stopped_{false};
-
-  // Timer state.
-  Mutex timer_mu_;
-  CondVar timer_cv_;
-  std::multimap<Micros, std::function<void()>> timers_ GUARDED_BY(timer_mu_);
-  bool timer_stop_ GUARDED_BY(timer_mu_) = false;
-  std::thread timer_thread_;
 };
 
 }  // namespace threev

@@ -18,6 +18,8 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <map>
+#include <memory>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -215,33 +217,59 @@ TEST(ConcurrencyStressTest, ThreadNetStopWhileProducersSend) {
   }
 }
 
-// Owned timers armed from several threads at once: each fires exactly
-// once, as a kTimer message on its owner's worker - the thread that runs
-// the owner's other messages - and never on the timer thread.
+// Owned timers armed from several threads at once while their owners are
+// parked, and by each owner's own handler while it is busy: each fires
+// exactly once, as a kTimer message on its owner's worker - the thread
+// that runs the owner's other messages - never before its arm time plus
+// its delay, and one armer's timers of one delay for one owner fire in arm
+// order.
 TEST(ConcurrencyStressTest, ThreadNetOwnedTimersFireOnTheOwnersWorker) {
   constexpr int kEndpoints = 3;
   constexpr int kArmers = 4;
   constexpr uint64_t kPerArmer = 200;
+  constexpr uint64_t kForeign = kArmers * kPerArmer;
+  constexpr uint64_t kSelfArms = 50;  // per owner, from its own handler
+  constexpr uint64_t kTotal = kForeign + kEndpoints * kSelfArms;
+  // Per token, written by its armer before the arm; the mailbox lock the
+  // arm takes orders the write before the owner's read.
+  struct Arm {
+    NodeId owner = 0;
+    int armer = 0;  // kArmers + owner for an owner's own arms
+    Micros at = 0;
+    Micros delay = 0;
+  };
+  std::vector<Arm> arms(kTotal + 1);
   struct Owner {
     std::thread::id worker;  // set by the first (non-timer) message
     std::vector<uint64_t> tokens;
     int off_worker = 0;
+    int early = 0;
   };
   std::array<Owner, kEndpoints> owners;
   ThreadNet net;
+  auto arm = [&](NodeId owner, int armer, Micros delay, uint64_t token) {
+    arms[token] = Arm{owner, armer, net.Now(), delay};
+    net.ScheduleTimer(owner, delay, token);
+  };
   WaitGroup hello;
   hello.Add(kEndpoints);
   WaitGroup fired;
-  fired.Add(kArmers * static_cast<int>(kPerArmer));
+  fired.Add(static_cast<int>(kTotal));
   for (int e = 0; e < kEndpoints; ++e) {
     net.RegisterEndpoint(e, [&, e](const Message& m) {
       Owner& o = owners[e];
       if (m.type != MsgType::kTimer) {
         o.worker = std::this_thread::get_id();
+        for (uint64_t i = 0; i < kSelfArms; ++i) {
+          arm(e, kArmers + e, static_cast<Micros>(i % 2) * 300,
+              kForeign + e * kSelfArms + i + 1);
+        }
         hello.Done();
         return;
       }
       if (std::this_thread::get_id() != o.worker) ++o.off_worker;
+      const Arm& a = arms[m.seq];
+      if (net.Now() < a.at + a.delay) ++o.early;
       o.tokens.push_back(m.seq);
       fired.Done();
     });
@@ -255,8 +283,8 @@ TEST(ConcurrencyStressTest, ThreadNetOwnedTimersFireOnTheOwnersWorker) {
     armers.emplace_back([&, a] {
       for (uint64_t i = 0; i < kPerArmer; ++i) {
         const uint64_t token = a * kPerArmer + i + 1;
-        net.ScheduleTimer(static_cast<NodeId>(token % kEndpoints),
-                          static_cast<Micros>(i % 5) * 100, token);
+        arm(static_cast<NodeId>(token % kEndpoints), a,
+            static_cast<Micros>(i % 5) * 100, token);
       }
     });
   }
@@ -267,14 +295,74 @@ TEST(ConcurrencyStressTest, ThreadNetOwnedTimersFireOnTheOwnersWorker) {
   std::vector<uint64_t> all;
   for (int e = 0; e < kEndpoints; ++e) {
     EXPECT_EQ(owners[e].off_worker, 0) << "endpoint " << e;
+    EXPECT_EQ(owners[e].early, 0) << "endpoint " << e;
+    // Last token fired per (armer, delay); tokens grow in arm order.
+    std::map<std::pair<int, Micros>, uint64_t> last;
     for (uint64_t token : owners[e].tokens) {
-      EXPECT_EQ(token % kEndpoints, static_cast<uint64_t>(e));
+      const Arm& a = arms[token];
+      EXPECT_EQ(a.owner, static_cast<NodeId>(e));
+      uint64_t& prev = last[{a.armer, a.delay}];
+      EXPECT_LT(prev, token) << "armer " << a.armer << " delay " << a.delay;
+      prev = token;
       all.push_back(token);
     }
   }
   std::sort(all.begin(), all.end());
-  ASSERT_EQ(all.size(), kArmers * kPerArmer);
+  ASSERT_EQ(all.size(), kTotal);
   for (size_t i = 0; i < all.size(); ++i) EXPECT_EQ(all[i], i + 1);
+}
+
+// Timers armed before Start() wait for the workers: a ScheduleAfter
+// callback armed off the workers runs on the lowest endpoint's worker, and
+// an owned timer on its owner's.
+TEST(ConcurrencyStressTest, ThreadNetTimersArmedBeforeStartFireAfterIt) {
+  ThreadNet net;
+  std::atomic<bool> started{false};
+  std::atomic<int> early{0};
+  std::thread::id low_worker, high_worker, callback_thread, timer_thread;
+  WaitGroup done;
+  done.Add(3);
+  net.RegisterEndpoint(5, [&](const Message& m) {
+    high_worker = std::this_thread::get_id();
+    if (m.type == MsgType::kTimer) timer_thread = high_worker;
+    done.Done();
+  });
+  net.RegisterEndpoint(2, [&](const Message&) {
+    low_worker = std::this_thread::get_id();
+    done.Done();
+  });
+  net.ScheduleAfter(0, [&] {
+    if (!started.load()) early.fetch_add(1);
+    callback_thread = std::this_thread::get_id();
+    done.Done();
+  });
+  net.ScheduleTimer(5, 0, 77);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  started.store(true);
+  net.Start();
+  net.Send(2, ProducerMessage(0, 1));
+  ASSERT_TRUE(done.WaitFor(std::chrono::seconds(10)));
+  net.Stop();
+  EXPECT_EQ(early.load(), 0);
+  EXPECT_EQ(callback_thread, low_worker);
+  EXPECT_EQ(timer_thread, high_worker);
+  EXPECT_NE(low_worker, high_worker);
+}
+
+// An arm after Stop() is dropped: nothing runs, nothing crashes, and the
+// callback it carried is destroyed.
+TEST(ConcurrencyStressTest, ThreadNetArmAfterStopIsDropped) {
+  ThreadNet net;
+  std::atomic<int> ran{0};
+  net.RegisterEndpoint(0, [&](const Message&) { ran.fetch_add(1); });
+  net.Start();
+  net.Stop();
+  auto token = std::make_shared<int>(0);
+  net.ScheduleAfter(0, [&ran, token] { ran.fetch_add(1); });
+  net.ScheduleTimer(0, 0, 1);
+  EXPECT_EQ(token.use_count(), 1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(ran.load(), 0);
 }
 
 // Four threads race StartAdvancement against an auto-advance chain that

@@ -13,7 +13,6 @@
 
 #include <atomic>
 #include <cstring>
-#include <filesystem>
 #include <functional>
 #include <thread>
 
@@ -22,6 +21,7 @@
 #include "threev/net/tcp_net.h"
 #include "threev/net/wire.h"
 #include "test_ports.h"
+#include "test_threads.h"
 
 namespace threev {
 namespace {
@@ -70,16 +70,6 @@ Message SeqMessage(uint64_t seq) {
   m.type = MsgType::kClientSubmit;
   m.seq = seq;
   return m;
-}
-
-size_t ThreadsInProcess() {
-  size_t n = 0;
-  for (const auto& entry :
-       std::filesystem::directory_iterator("/proc/self/task")) {
-    (void)entry;
-    ++n;
-  }
-  return n;
 }
 
 class TcpClusterTest : public ::testing::Test {
@@ -399,8 +389,8 @@ class TcpReceiveTest : public ::testing::Test {
 };
 
 // Frames cut into one-byte segments are reassembled both before the
-// connection is routed (the accept thread's header read) and after (the
-// worker's buffer).
+// connection is routed (the accepting worker's header read) and after (the
+// owner's buffer).
 TEST_F(TcpReceiveTest, FrameSentOneBytePerSendIsReassembled) {
   StartNet({0}, 2);
   std::vector<uint8_t> bytes;
@@ -456,7 +446,7 @@ TEST_F(TcpReceiveTest, FramesLargerThanTheReceiveBufferAreDelivered) {
   EXPECT_EQ(Seqs(0), (std::vector<uint64_t>{1, 2, 3}));
 }
 
-// The accept thread waits on every unrouted connection at once: a peer
+// The accepting worker waits on every unrouted connection at once: a peer
 // that connects and never speaks holds up nobody.
 TEST_F(TcpReceiveTest, SilentConnectionDoesNotDelayAnotherPeer) {
   StartNet({0}, 1);
@@ -490,23 +480,27 @@ TEST_F(TcpReceiveTest, FrameForAnotherLocalEndpointOnRoutedConnection) {
   EXPECT_EQ(Seqs(1), (std::vector<uint64_t>{2}));
 }
 
-// No thread per connection: the destination's worker reads its sockets.
+// No thread per connection: the destination's worker reads its sockets. A
+// started TcpNet runs exactly one thread per local endpoint: accepts and
+// timers run on the workers too.
 TEST_F(TcpReceiveTest, ThreadCountDoesNotGrowWithInboundConnections) {
   constexpr int kConns = 8;
-  StartNet({0}, kConns);
+  const size_t before = ThreadsAtRest();
+  StartNet({0, 1}, kConns);
   const size_t idle = ThreadsInProcess();
+  EXPECT_EQ(idle, before + 2);
   std::vector<int> fds;
   for (int i = 0; i < kConns; ++i) {
     fds.push_back(ConnectRaw(port_));
     std::vector<uint8_t> bytes;
-    AppendFrame(&bytes, 0, SeqMessage(static_cast<uint64_t>(i)));
+    AppendFrame(&bytes, i % 2, SeqMessage(static_cast<uint64_t>(i)));
     SendAllRaw(fds.back(), bytes);
   }
   ASSERT_TRUE(Arrived());
   EXPECT_EQ(ThreadsInProcess(), idle);
   net_->Stop();
   for (int fd : fds) ::close(fd);
-  EXPECT_EQ(Seqs(0).size(), static_cast<size_t>(kConns));
+  EXPECT_EQ(Seqs(0).size() + Seqs(1).size(), static_cast<size_t>(kConns));
 }
 
 // A sending TcpNet that hosts the endpoints `senders` and a receiving
@@ -611,20 +605,17 @@ TEST_F(TcpCorkTest, SendOffTheWorkersLeavesAtOnce) {
   EXPECT_EQ(Got(0), (std::vector<uint64_t>{7}));
 }
 
-// Corked sends from endpoint 0's turns and sends made for it on the timer
-// thread, which write at once, interleave on one connection; the sink
-// still sees them in send order.
-TEST_F(TcpCorkTest, TurnAndTimerThreadSendsKeepTheirOrder) {
+// Corked sends from endpoint 0's turns and sends made for it on a thread
+// that is no worker, which write at once, interleave on one connection;
+// the sink still sees them in send order.
+TEST_F(TcpCorkTest, TurnAndForeignThreadSendsKeepTheirOrder) {
   constexpr uint64_t kRounds = 20;
   Start({0}, 3 * kRounds, [this](NodeId self, const Message& kick) {
     const uint64_t round = kick.seq;
     SendToSink(self, 3 * round + 1);  // corked
-    std::atomic<bool> sent{false};
-    sender_->ScheduleAfter(0, [&] {
+    std::thread([&] {
       SendToSink(self, 3 * round + 2);  // written at once, after the above
-      sent.store(true);
-    });
-    while (!sent.load()) std::this_thread::yield();
+    }).join();
     SendToSink(self, 3 * round + 3);  // corked until the turn ends
     if (round + 1 < kRounds) Kick(self, round + 1);
   });

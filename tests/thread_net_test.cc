@@ -12,6 +12,7 @@
 #include "threev/net/wire.h"
 #include "threev/verify/checker.h"
 #include "blocking_queue.h"
+#include "test_threads.h"
 
 namespace threev {
 namespace {
@@ -33,6 +34,28 @@ TEST(ThreadNetTest, DeliversAndSchedules) {
   wg.Add(1);
   net.ScheduleAfter(1'000, [&] { wg.Done(); });
   EXPECT_TRUE(wg.WaitFor(std::chrono::milliseconds(2000)));
+  net.Stop();
+}
+
+// A started ThreadNet runs exactly one thread per endpoint: owned timers
+// and ScheduleAfter callbacks fire on the workers.
+TEST(ThreadNetTest, RunsOneThreadPerEndpoint) {
+  constexpr NodeId kEndpoints = 3;
+  ThreadNet net;
+  WaitGroup fired;
+  fired.Add(2);
+  for (NodeId id = 0; id < kEndpoints; ++id) {
+    net.RegisterEndpoint(id, [&](const Message& m) {
+      if (m.type == MsgType::kTimer) fired.Done();
+    });
+  }
+  const size_t before = ThreadsAtRest();
+  net.Start();
+  EXPECT_EQ(ThreadsInProcess(), before + kEndpoints);
+  net.ScheduleTimer(1, 1'000, 7);
+  net.ScheduleAfter(1'000, [&] { fired.Done(); });
+  EXPECT_TRUE(fired.WaitFor(std::chrono::milliseconds(2000)));
+  EXPECT_EQ(ThreadsInProcess(), before + kEndpoints);
   net.Stop();
 }
 

@@ -67,11 +67,11 @@ analysis can express, because they live above the type system:
                      (DESIGN.md section 9), enforced by structure.
 
   net-threads        Under net/, a std::thread is constructed only in
-                     ThreadNet::Start (endpoint workers, timer) and
-                     TcpNet::Start (accept), and no container of threads
-                     is declared. An endpoint's worker reads its own
-                     inbound sockets; a thread per connection must not
-                     come back.
+                     ThreadNet::Start, as an endpoint's worker, and no
+                     container of threads is declared. A worker fires its
+                     endpoint's timers, accepts and reads its own inbound
+                     sockets; a timer, accept or per-connection thread
+                     must not come back.
 
   node-owned         A node's and the advancement coordinator's state
                      belongs to the one thread that runs the endpoint's
@@ -82,9 +82,9 @@ analysis can express, because they live above the type system:
                      family, GUARDED_BY, REQUIRES or EXCLUDES. A lock
                      there would guard state no second thread may touch,
                      or hide one that does. Nor do they call
-                     ScheduleAfter, whose callback runs on the transport's
-                     timer thread: they arm owned timers (ScheduleTimer),
-                     which run on the endpoint's own thread.
+                     ScheduleAfter, whose callback runs outside the
+                     endpoint's handler: they arm owned timers
+                     (ScheduleTimer), which run in the handler.
 
 Usage:
   tools/threev_lint.py [--root REPO_ROOT]   lint the tree (exit 1 on findings)
@@ -678,17 +678,19 @@ def check_node_send(files):
 
 
 # ---------------------------------------------------------------------------
-# Rule: net threads. The transports run a fixed set of threads: one worker
-# per endpoint and a timer (ThreadNet::Start) plus an accept thread
-# (TcpNet::Start). Inbound sockets belong to the destination's worker
-# (DESIGN.md section 6), so a thread constructed anywhere else under net/ -
-# or a container of threads, which constructs them in emplace_back - is a
-# thread per connection (or per something) creeping back.
+# Rule: net threads. The transports run one worker per endpoint
+# (ThreadNet::Start) and nothing else: a worker fires its endpoint's timers,
+# and accepts and reads its inbound sockets (DESIGN.md section 6). So a
+# thread constructed anywhere else under net/, or in ThreadNet::Start as
+# anything but a worker, or a container of threads, which constructs them in
+# emplace_back, is a timer, accept or per-connection thread creeping back.
 
 NET_DIR = "src/threev/net/"
-THREAD_START_FUNCS = ("ThreadNet::Start", "TcpNet::Start")
+THREAD_START_FUNC = "ThreadNet::Start"
 # `std::thread(`/`std::thread{` (a temporary) or `std::thread name(`/`{`.
 THREAD_CTOR_RE = re.compile(r"\bstd::j?thread\s*(?:\w+\s*)?[({]")
+# The one construction allowed: an endpoint's worker, `...worker = std::thread(`.
+WORKER_ASSIGN_RE = re.compile(r"\bworker\s*=\s*$")
 THREAD_CONTAINER_RE = re.compile(r"<\s*std::j?thread\s*>")
 
 
@@ -698,21 +700,23 @@ def check_net_threads(files):
         path = f.path.replace(os.sep, "/")
         if not path.startswith(NET_DIR):
             continue
-        spans = [span for span in (function_body_span(f.code, name)
-                                   for name in THREAD_START_FUNCS)
-                 if span is not None]
+        span = function_body_span(f.code, THREAD_START_FUNC)
         for m in THREAD_CTOR_RE.finditer(f.code):
-            if not any(a <= m.start() < b for a, b in spans):
-                findings.append(Finding(
-                    "net-threads", path, f.line_of(m.start()),
-                    "std::thread constructed outside ThreadNet::Start / "
-                    "TcpNet::Start; inbound sockets belong to the "
-                    "destination's worker, not to a thread of their own"))
+            in_start = span is not None and span[0] <= m.start() < span[1]
+            if in_start and WORKER_ASSIGN_RE.search(
+                    f.code, max(0, m.start() - 40), m.start()):
+                continue
+            findings.append(Finding(
+                "net-threads", path, f.line_of(m.start()),
+                "std::thread constructed other than as an endpoint's worker "
+                "in ThreadNet::Start; timers, accepts and inbound sockets "
+                "belong to the endpoint's worker, not to a thread of their "
+                "own"))
         for m in THREAD_CONTAINER_RE.finditer(f.code):
             findings.append(Finding(
                 "net-threads", path, f.line_of(m.start()),
                 "container of std::thread under net/: the transports run "
-                "a fixed set of threads"))
+                "one worker per endpoint"))
     return findings
 
 
@@ -751,8 +755,8 @@ def check_node_owned(files):
         for m in NODE_OWNED_TIMER_RE.finditer(f.code):
             findings.append(Finding(
                 "node-owned", path, f.line_of(m.start()),
-                "`ScheduleAfter` in node-owned code runs its callback on "
-                "the transport's timer thread; arm an owned timer "
+                "`ScheduleAfter` in node-owned code runs its callback "
+                "outside the endpoint's handler; arm an owned timer "
                 "(ScheduleTimer / OwnedTimers::Arm) instead"))
     return findings
 
@@ -1156,29 +1160,43 @@ void ThreadNet::Start() {
   for (auto& [id, ep] : endpoints_) {
     ep->worker = std::thread([this] { WorkerLoop(); });
   }
-  timer_thread_ = std::thread([this] { TimerLoop(); });
 }
 """),
-        _mkfile("src/threev/net/tcp_net.cc", """
-Status TcpNet::Start() {
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  return Status::Ok();
-}
+        _mkfile("src/threev/net/thread_net.cc", """
+struct ThreadNet::Endpoint {
+  std::thread worker;
+};
 """),
-        _mkfile("src/threev/net/tcp_net.h", "  std::thread accept_thread_;\n"),
         # Outside net/ the rule does not apply.
         _mkfile("src/threev/core/pool.cc",
                 "std::vector<std::thread> pool;\n"
                 "pool.emplace_back([] {});\n"),
     ]
-    expect("threads only in the Start functions", check_net_threads(net_ok),
-           "net-threads", False)
-    # Seed: a reader thread per accepted connection.
-    reader_per_conn = _mkfile("src/threev/net/tcp_net.cc", """
+    expect("threads only as the workers of ThreadNet::Start",
+           check_net_threads(net_ok), "net-threads", False)
+    # Seed: a timer thread beside the workers, in ThreadNet::Start itself.
+    timer_thread = _mkfile("src/threev/net/thread_net.cc", """
+void ThreadNet::Start() {
+  for (auto& [id, ep] : endpoints_) {
+    ep->worker = std::thread([this] { WorkerLoop(); });
+  }
+  timer_thread_ = std::thread([this] { TimerLoop(); });
+}
+""")
+    expect("timer thread in ThreadNet::Start",
+           check_net_threads([timer_thread]), "net-threads", True)
+    # Seed: an accept thread started by TcpNet.
+    accept_thread = _mkfile("src/threev/net/tcp_net.cc", """
 Status TcpNet::Start() {
+  local_.Start();
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   return Status::Ok();
 }
+""")
+    expect("accept thread in TcpNet::Start",
+           check_net_threads([accept_thread]), "net-threads", True)
+    # Seed: a reader thread per accepted connection.
+    reader_per_conn = _mkfile("src/threev/net/tcp_net.cc", """
 void TcpNet::AcceptLoop() {
   int fd = ::accept(lfd, nullptr, nullptr);
   reader_threads_.emplace_back([this, fd] { ReaderLoop(fd); });
@@ -1196,17 +1214,19 @@ void TcpNet::AcceptLoop() {
   reader.detach();
 }
 """)
-    expect("named thread outside the Start functions",
+    expect("named thread outside ThreadNet::Start",
            check_net_threads([named_thread]), "net-threads", True)
     temp_thread = _mkfile("src/threev/net/thread_net.cc", """
 void ThreadNet::Start() {
-  timer_thread_ = std::thread([this] { TimerLoop(); });
+  for (auto& [id, ep] : endpoints_) {
+    ep->worker = std::thread([this] { WorkerLoop(); });
+  }
 }
 void ThreadNet::Deliver(NodeId to, Message&& msg) {
   std::thread([e] { e->handler(msg); }).detach();
 }
 """)
-    expect("temporary thread outside the Start functions",
+    expect("temporary thread outside ThreadNet::Start",
            check_net_threads([temp_thread]), "net-threads", True)
 
     # --- node-owned -------------------------------------------------------
